@@ -7,7 +7,6 @@ from .benchmark import BenchmarkConfig, make_split, run_benchmark
 from .data import FrameDataset, Shift, ShiftRanges, SyntheticVideo, class_templates, generate_video
 from .losses import (
     ClassCounts,
-    LogitSeries,
     cross_entropy,
     entropy_loss,
     jacobian_fd_approx,
@@ -30,7 +29,6 @@ __all__ = [
     "ClassCounts",
     "EvalResult",
     "FrameDataset",
-    "LogitSeries",
     "ModelParams",
     "ModelSpec",
     "Region",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,6 +47,8 @@ class AdaptConfig:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.median_window < 1 or self.median_window % 2 == 0:
+            raise ValueError(f"median_window must be odd and >= 1, got {self.median_window}")
         if self.batch_frames_cap < 1:
             raise ValueError("batch_frames_cap must be >= 1")
 
@@ -70,32 +72,9 @@ class AdaptReport:
     logits_after: np.ndarray | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "f1_before": self.f1_before,
-            "f1_after": self.f1_after,
-            "norm_changes_before": self.norm_changes_before,
-            "norm_changes_after": self.norm_changes_after,
-            "loss_trace": self.loss_trace,
-            "regions": [{"start": r.start, "end": r.end, "change_count": r.change_count} for r in self.regions],
-            "config": {
-                "method": self.config.method,
-                "steps": self.config.steps,
-                "lr": self.config.lr,
-                "beta1": self.config.beta1,
-                "beta2": self.config.beta2,
-                "eps": self.config.eps,
-                "weight_decay": self.config.weight_decay,
-                "median_window": self.config.median_window,
-                "region_window": self.config.region_window,
-                "num_regions": self.config.num_regions,
-                "batch_frames_cap": self.config.batch_frames_cap,
-                "region_sample": self.config.region_sample,
-                "seed": self.config.seed,
-            },
-            "diagnostic": self.diagnostic,
-            "target_checksum": self.target_checksum,
-        }
+        doc = asdict(self)
+        del doc["logits_before"], doc["logits_after"]
+        return doc
 
 
 def trainable_subset(params: model.ModelParams, method: str) -> list[str]:
@@ -219,10 +198,7 @@ def adapt_video(
                 loss = losses.temporal_consistency_loss(z, target[batch_idx])
             else:
                 loss = losses.entropy_loss(z)
-            grads = T.backward(loss)
-            named = {name: grads[leaf].data for name, leaf in leaves.items() if leaf in grads}
-            for name in subset - named.keys():
-                named[name] = np.zeros_like(work[name].array)
+            named = T.grads_by_name(leaves, T.backward(loss))
             adamw_step({n: work[n].array for n in subset}, named, opt_state, adamw_cfg)
             loss_trace.append(loss.item())
             del z, loss  # free this step's tape before the next forward records another

@@ -18,16 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adapt import adapt_video
+from .adapt import adapt_video, forward_all
 from .benchmark import make_split, run_benchmark
 from .config import RunConfig, load_config, resolved_dict
 from .data import FrameDataset, load_video
 from .errors import ConfigError, DivergedLoss, TemptError
 from .gradcheck import LOSS_KINDS, run_gradcheck
 from .metrics import evaluate_logits
-from .model import load_weights, save_weights
+from .model import ModelParams, ModelSpec, load_weights, save_weights
 from .training import train
-from .adapt import forward_all
 
 log = logging.getLogger("tempt")
 
@@ -49,6 +48,13 @@ def _resolve_seed(explicit: int | None, config_seed: int) -> int:
     if env is not None:
         return int(env)
     return config_seed
+
+
+def _load_weights(path: str, spec: ModelSpec) -> ModelParams:
+    weights_path = Path(path)
+    if not weights_path.is_file():
+        raise ConfigError(f"weights file not found: {weights_path}")
+    return load_weights(weights_path.read_bytes(), spec=spec)
 
 
 def _model_name(cfg: RunConfig) -> str:
@@ -110,14 +116,8 @@ def cmd_adapt(args) -> int:
     if args.method:
         adapt_cfg = dataclasses.replace(adapt_cfg, method=args.method)
 
-    weights_path = Path(args.weights)
-    if not weights_path.exists():
-        raise ConfigError(f"weights file not found: {weights_path}")
-    params = load_weights(weights_path.read_bytes(), spec=cfg.model)
-    video_path = Path(args.video)
-    if not video_path.exists():
-        raise ConfigError(f"video file not found: {video_path}")
-    video = load_video(video_path)
+    params = _load_weights(args.weights, cfg.model)
+    video = load_video(args.video)
 
     adapted, report = adapt_video(params, video.frames, adapt_cfg, labels=video.labels)
     if args.trace:
@@ -134,7 +134,7 @@ def cmd_adapt(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    params = load_weights(Path(args.weights).read_bytes(), spec=cfg.model)
+    params = _load_weights(args.weights, cfg.model)
     if args.video:
         videos = [load_video(args.video)]
     else:
@@ -160,7 +160,7 @@ def cmd_benchmark(args) -> int:
     cfg = load_config(args.config)
     seed = _resolve_seed(args.seed, cfg.benchmark.master_seed)
     cfg = dataclasses.replace(cfg, benchmark=dataclasses.replace(cfg.benchmark, master_seed=seed))
-    params = load_weights(Path(args.weights).read_bytes(), spec=cfg.model)
+    params = _load_weights(args.weights, cfg.model)
     videos = make_split(cfg.benchmark, "test", cfg.model.input_hw)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     log.info("benchmark: %d videos x %d repeats, jobs=%d", len(videos), cfg.benchmark.repeats, jobs)
@@ -195,7 +195,7 @@ def cmd_gradcheck(args) -> int:
     params = None
     if args.weights:
         cfg = load_config(args.config) if args.config else RunConfig()
-        params = load_weights(Path(args.weights).read_bytes(), spec=cfg.model)
+        params = _load_weights(args.weights, cfg.model)
     result = run_gradcheck(args.loss, seed=seed, params=params)
     _emit({"command": "gradcheck", **result.to_json_dict()})
     if not result.passed:

@@ -1,7 +1,8 @@
 """Strict JSON run configuration.
 
 One document with model/train/adapt/benchmark sections. Unknown keys are
-fatal so that an echoed config always describes the run completely.
+fatal so that an echoed config always describes the run completely, and
+every section is validated at load time.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 from .adapt import AdaptConfig
 from .benchmark import BenchmarkConfig
 from .data import ShiftRanges
-from .errors import ConfigError
+from .errors import ConfigError, InvalidRange, InvalidSpec
 from .model import ModelSpec
 from .training import TrainConfig
 
@@ -40,8 +41,6 @@ def _build(cls, raw: dict, path: str):
             value = _shift_ranges(value, f"{path}.{name}")
         elif name == "stages":
             value = tuple(tuple(s) for s in value)
-        elif name == "channel_gain" and isinstance(value, list):
-            value = tuple(value)
         kwargs[name] = value
     try:
         return cls(**kwargs)
@@ -64,12 +63,15 @@ def parse_config(doc: dict) -> RunConfig:
     unknown = set(doc) - _SECTIONS
     if unknown:
         raise ConfigError(f"unknown top-level sections: {sorted(unknown)}")
-    return RunConfig(
+    cfg = RunConfig(
         model=_build(ModelSpec, doc.get("model", {}), "model"),
         train=_build(TrainConfig, doc.get("train", {}), "train"),
         adapt=_build(AdaptConfig, doc.get("adapt", {}), "adapt"),
         benchmark=_build(BenchmarkConfig, doc.get("benchmark", {}), "benchmark"),
     )
+    for section in (cfg.model, cfg.train, cfg.adapt, cfg.benchmark, cfg.benchmark.train_shift, cfg.benchmark.test_shift):
+        section.validate()
+    return cfg
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -82,30 +84,10 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     try:
         return parse_config(doc)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, InvalidSpec, InvalidRange) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
-
-
-def _ranges_dict(r: ShiftRanges) -> dict:
-    return {
-        "brightness": list(r.brightness),
-        "contrast": list(r.contrast),
-        "channel_gain": list(r.channel_gain),
-    }
 
 
 def resolved_dict(cfg: RunConfig) -> dict:
     """Full echo with every default filled in; goes into each output."""
-    out: dict = {}
-    for section in ("model", "train", "adapt", "benchmark"):
-        obj = getattr(cfg, section)
-        d = {}
-        for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            if isinstance(value, ShiftRanges):
-                value = _ranges_dict(value)
-            elif isinstance(value, tuple):
-                value = [list(v) if isinstance(v, tuple) else v for v in value]
-            d[f.name] = value
-        out[section] = d
-    return out
+    return dataclasses.asdict(cfg)

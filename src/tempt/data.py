@@ -10,16 +10,17 @@ that makes an uncalibrated model flicker.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidRange
+from .errors import ConfigError, InvalidRange, LengthMismatch
 from .tten import read_tten, write_tten
 
 NUM_CLASSES = 8
 DEFAULT_PATCH = 16
+BACKGROUND = 0.25
 
 
 def class_templates(patch: int = DEFAULT_PATCH) -> np.ndarray:
@@ -87,11 +88,7 @@ class Shift:
         return (gains * shifted).astype(np.float32)
 
     def to_json_dict(self) -> dict:
-        return {
-            "brightness": self.brightness,
-            "contrast": self.contrast,
-            "channel_gain": list(self.channel_gain),
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Shift":
@@ -138,7 +135,7 @@ class SyntheticVideo:
     glitch_frames: tuple[int, ...] = ()
 
 
-def _segment_labels(rng: np.random.Generator, t: int, min_segment: int, weights: np.ndarray):
+def _segment_labels(rng: np.random.Generator, t: int, min_segment: int, k: int):
     if t < 2 * min_segment:
         raise InvalidRange(f"T={t} must be >= 2*min_segment={2 * min_segment}")
     lengths: list[int] = []
@@ -149,13 +146,12 @@ def _segment_labels(rng: np.random.Generator, t: int, min_segment: int, weights:
         remaining -= lengths[-1]
     lengths.append(remaining)
 
-    k = weights.size
     segments: list[tuple[int, int, int]] = []
     labels = np.empty(t, dtype=np.int64)
     prev = -1
     start = 0
     for length in lengths:
-        p = weights.astype(np.float64).copy()
+        p = np.full(k, 1.0 / k)
         if prev >= 0:
             p[prev] = 0.0
         p /= p.sum()
@@ -175,8 +171,6 @@ def generate_video(
     noise_sigma: float,
     min_segment: int,
     seed: int,
-    class_weights: np.ndarray | None = None,
-    background: float = 0.25,
     glitch_rate: float = 0.0,
     glitch_scale: float = 6.0,
 ) -> SyntheticVideo:
@@ -198,14 +192,13 @@ def generate_video(
     if not (0.0 <= glitch_rate <= 1.0):
         raise InvalidRange("glitch_rate must be in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))
-    weights = np.full(k, 1.0 / k) if class_weights is None else np.asarray(class_weights, dtype=np.float64)
-    labels, segments = _segment_labels(rng, t, min_segment, weights)
+    labels, segments = _segment_labels(rng, t, min_segment, k)
     concrete_shift = shift.sample(rng) if isinstance(shift, ShiftRanges) else shift
 
     span = hw - patch
     pos = rng.uniform(0, span, size=2)
     vel = rng.uniform(-1.0, 1.0, size=2)
-    frames = np.full((t, 3, hw, hw), background, dtype=np.float32)
+    frames = np.full((t, 3, hw, hw), BACKGROUND, dtype=np.float32)
     for ti in range(t):
         vel = np.clip(vel + rng.normal(0.0, 0.3, size=2), -1.5, 1.5)
         pos = pos + vel
@@ -252,7 +245,6 @@ def make_videos(
     min_segment: int,
     master_seed,
     templates: np.ndarray | None = None,
-    class_weights: np.ndarray | None = None,
     glitch_rate: float = 0.0,
     glitch_scale: float = 6.0,
 ) -> list[SyntheticVideo]:
@@ -269,7 +261,6 @@ def make_videos(
             noise_sigma,
             min_segment,
             int(s),
-            class_weights,
             glitch_rate=glitch_rate,
             glitch_scale=glitch_scale,
         )
@@ -315,11 +306,18 @@ def save_video(path: str | Path, video: SyntheticVideo) -> None:
 
 def load_video(path: str | Path) -> SyntheticVideo:
     path = Path(path)
+    sidecar_path = path.with_suffix(path.suffix + ".json")
+    for p in (path, sidecar_path):
+        if not p.is_file():
+            raise ConfigError(f"video file not found: {p}")
     frames = read_tten(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
+    sidecar = json.loads(sidecar_path.read_text())
+    labels = np.asarray(sidecar["labels"], dtype=np.int64)
+    if labels.shape != frames.shape[:1]:
+        raise LengthMismatch(f"{labels.size} labels for {frames.shape[0]} frames in {sidecar_path}")
     return SyntheticVideo(
         frames=frames.astype(np.float32),
-        labels=np.asarray(sidecar["labels"], dtype=np.int64),
+        labels=labels,
         segments=[tuple(s) for s in sidecar["segments"]],
         shift=Shift.from_json_dict(sidecar["shift"]),
         noise_sigma=sidecar["noise_sigma"],

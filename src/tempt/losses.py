@@ -33,23 +33,6 @@ class ClassCounts:
         return (self.margin_scale / np.power(self.n, 0.25)).astype(np.float32)
 
 
-@dataclass
-class LogitSeries:
-    """T x k unnormalized scores with their source frame ids."""
-
-    y: np.ndarray
-    frame_ids: list[int]
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.float32)
-        if self.y.ndim != 2 or self.y.shape[0] < 1:
-            raise ShapeMismatch(f"logit series must be (T,k) with T >= 1, got {self.y.shape}")
-        if len(self.frame_ids) != self.y.shape[0]:
-            raise ShapeMismatch("frame_ids length != T")
-        if any(b <= a for a, b in zip(self.frame_ids, self.frame_ids[1:])):
-            raise ValueError("frame_ids must be strictly increasing")
-
-
 def _check_labels(labels: Sequence[int], k: int) -> np.ndarray:
     lab = np.asarray(labels, dtype=np.int64)
     if lab.ndim != 1:
@@ -134,21 +117,6 @@ def temporal_consistency_loss(
     ysel = T.take_rows(y, idx) if regions is not None else y
     diff = ysel - T.Tensor(target[idx])
     return T.tensor_mean(T.tensor_sum(diff * diff, axis=1))
-
-
-def prediction_difference_loss(y: T.Tensor) -> T.Tensor:
-    """Sum of squared consecutive-frame logit differences.
-
-    The direct smoothness objective; kept for experiments only, the
-    adaptation loop always optimizes the filtered-target loss.
-    """
-    t = y.shape[0]
-    if t < 2:
-        raise ShapeMismatch("need at least two frames")
-    cur = T.take_rows(y, np.arange(1, t))
-    prev = T.take_rows(y, np.arange(0, t - 1))
-    d = cur - prev
-    return T.tensor_sum(d * d)
 
 
 def jacobian_fd_approx(

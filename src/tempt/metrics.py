@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import LabelOutOfRange, LengthMismatch
-from .temporal import normalized_changes
 
 
 @dataclass
@@ -18,12 +17,7 @@ class EvalResult:
     confusion: np.ndarray  # [true, pred] counts
 
     def to_json_dict(self) -> dict:
-        return {
-            "macro_f1": self.macro_f1,
-            "per_class_f1": self.per_class_f1,
-            "norm_changes": self.norm_changes,
-            "confusion": self.confusion.tolist(),
-        }
+        return {**asdict(self), "confusion": self.confusion.tolist()}
 
 
 def macro_f1(preds, labels, k: int) -> EvalResult:
@@ -63,11 +57,8 @@ def macro_f1(preds, labels, k: int) -> EvalResult:
 
 
 def evaluate_logits(logits: np.ndarray, labels, k: int) -> EvalResult:
-    """Argmax the (T, k) series and score it; flicker from the logits."""
+    """Argmax the (T, k) series and score it."""
     logits = np.asarray(logits)
     if logits.ndim != 2 or logits.shape[1] != k:
         raise LengthMismatch(f"expected (T,{k}) logits, got {logits.shape}")
-    preds = np.argmax(logits, axis=1)
-    result = macro_f1(preds, labels, k)
-    result.norm_changes = normalized_changes(logits)
-    return result
+    return macro_f1(np.argmax(logits, axis=1), labels, k)

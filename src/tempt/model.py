@@ -10,7 +10,7 @@ logit to [-scale, +scale].
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,12 +130,7 @@ class ModelParams:
                 rg = name in trainable
             else:
                 rg = e.trainable
-            t = T.Tensor.__new__(T.Tensor)
-            t.data = e.array
-            t.requires_grad = rg
-            t.name = name
-            t.node = None
-            out[name] = t
+            out[name] = T.Tensor._unchecked(e.array, rg, name)
         return out
 
 
@@ -181,40 +176,27 @@ def build_model(spec: ModelSpec, seed: int) -> ModelParams:
     return params
 
 
+def _bn(leaves, prefix: str, x: T.Tensor, mode: str) -> T.Tensor:
+    return T.batchnorm2d(
+        x,
+        leaves[f"{prefix}.gamma"],
+        leaves[f"{prefix}.beta"],
+        leaves[f"{prefix}.running_mean"],
+        leaves[f"{prefix}.running_var"],
+        eps=BN_EPS,
+        mode=mode,
+    )
+
+
 def _block_forward(leaves, prefix: str, x: T.Tensor, downsample: bool, mode: str) -> T.Tensor:
     stride = 2 if downsample else 1
     out = T.conv2d(x, leaves[f"{prefix}.conv1.w"], stride=stride, pad=1)
-    out = T.batchnorm2d(
-        out,
-        leaves[f"{prefix}.bn1.gamma"],
-        leaves[f"{prefix}.bn1.beta"],
-        leaves[f"{prefix}.bn1.running_mean"],
-        leaves[f"{prefix}.bn1.running_var"],
-        eps=BN_EPS,
-        mode=mode,
-    )
-    out = T.relu(out)
+    out = T.relu(_bn(leaves, f"{prefix}.bn1", out, mode))
     out = T.conv2d(out, leaves[f"{prefix}.conv2.w"], stride=1, pad=1)
-    out = T.batchnorm2d(
-        out,
-        leaves[f"{prefix}.bn2.gamma"],
-        leaves[f"{prefix}.bn2.beta"],
-        leaves[f"{prefix}.bn2.running_mean"],
-        leaves[f"{prefix}.bn2.running_var"],
-        eps=BN_EPS,
-        mode=mode,
-    )
+    out = _bn(leaves, f"{prefix}.bn2", out, mode)
     if downsample:
         skip = T.conv2d(x, leaves[f"{prefix}.proj.w"], stride=stride, pad=0)
-        skip = T.batchnorm2d(
-            skip,
-            leaves[f"{prefix}.proj_bn.gamma"],
-            leaves[f"{prefix}.proj_bn.beta"],
-            leaves[f"{prefix}.proj_bn.running_mean"],
-            leaves[f"{prefix}.proj_bn.running_var"],
-            eps=BN_EPS,
-            mode=mode,
-        )
+        skip = _bn(leaves, f"{prefix}.proj_bn", skip, mode)
     else:
         skip = x
     return T.relu(out + skip)
@@ -271,36 +253,15 @@ def forward(
             raise ShapeMismatch(f"stem has {stem.shape[0]} frames, batch {x.shape[0]}")
         else:
             out = T.Tensor(stem)
-        out = T.batchnorm2d(
-            out,
-            leaves["stem.bn.gamma"],
-            leaves["stem.bn.beta"],
-            leaves["stem.bn.running_mean"],
-            leaves["stem.bn.running_var"],
-            eps=BN_EPS,
-            mode=mode,
-        )
-        out = T.relu(out)
+        out = T.relu(_bn(leaves, "stem.bn", out, mode))
         for si, (ch, blocks) in enumerate(spec.stages):
             for bi in range(blocks):
                 out = _block_forward(leaves, f"stage{si}.block{bi}", out, downsample=bi == 0, mode=mode)
         feat = T.global_avg_pool(out)
-        hidden = T.relu(T.matmul(feat, _transpose_leaf(leaves["head.fc1.w"])) + leaves["head.fc1.b"])
+        hidden = T.relu(T.matmul(feat, T.transpose(leaves["head.fc1.w"])) + leaves["head.fc1.b"])
         return _cosine_head(hidden, leaves["head.out.w"], spec.head_scale)
     except NonFiniteValue as exc:
         raise NonFiniteActivation(str(exc)) from exc
-
-
-def _transpose_leaf(w: T.Tensor) -> T.Tensor:
-    wt = T.Tensor.__new__(T.Tensor)
-    wt.data = w.data.T
-    wt.requires_grad = w.requires_grad
-    wt.name = None
-    if w.requires_grad:
-        wt.node = T.Node("transpose", (w,), lambda g: [np.ascontiguousarray(g.T)])
-    else:
-        wt.node = None
-    return wt
 
 
 def _cosine_head(x: T.Tensor, w: T.Tensor, scale: float) -> T.Tensor:
@@ -312,12 +273,7 @@ def _cosine_head(x: T.Tensor, w: T.Tensor, scale: float) -> T.Tensor:
     xhat = x / xn
     wn = T.sqrt(T.tensor_sum(w * w, axis=1, keepdims=True))
     what = w / wn
-    return T.matmul(xhat, _transpose_leaf(what)) * np.float32(scale)
-
-
-def parameter_count(spec: ModelSpec) -> int:
-    params = build_model(spec, seed=0)
-    return sum(e.array.size for e in params.entries.values())
+    return T.matmul(xhat, T.transpose(what)) * np.float32(scale)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +307,10 @@ def load_weights(data: bytes, spec: ModelSpec | None = None) -> ModelParams:
         pos += 2
         if len(data) - pos < name_len + 2:
             raise CorruptWeights("truncated record")
-        name = data[pos : pos + name_len].decode("utf-8")
+        try:
+            name = data[pos : pos + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptWeights(f"parameter name is not UTF-8: {exc}") from exc
         pos += name_len
         group_code, trainable = struct.unpack_from("<BB", data, pos)
         pos += 2

@@ -9,11 +9,11 @@ independent routes: float32 backprop against float64 central differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import BN_EPS, HEAD_NORM_EPS, ModelParams, ModelSpec
+from .model import BN_EPS, HEAD_NORM_EPS, ModelSpec
 
 
 def _conv(x, w, stride, pad, dtype):
@@ -28,8 +28,10 @@ def _conv(x, w, stride, pad, dtype):
     return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
 
-def _bn_eval(x, g, b, rm, rv, dtype):
+def _bn(arrays, prefix, x, dtype):
     shape = (1, -1, 1, 1)
+    g, b = arrays[f"{prefix}.gamma"], arrays[f"{prefix}.beta"]
+    rm, rv = arrays[f"{prefix}.running_mean"], arrays[f"{prefix}.running_var"]
     inv = 1.0 / np.sqrt(rv.astype(dtype) + BN_EPS)
     return g.astype(dtype).reshape(shape) * (x - rm.astype(dtype).reshape(shape)) * inv.reshape(shape) + b.astype(
         dtype
@@ -59,48 +61,18 @@ def forward_eval(
     def block(x_in, prefix, downsample):
         stride = 2 if downsample else 1
         out = _conv(x_in, arrays[f"{prefix}.conv1.w"], stride, 1, dtype)
-        out = _bn_eval(
-            out,
-            arrays[f"{prefix}.bn1.gamma"],
-            arrays[f"{prefix}.bn1.beta"],
-            arrays[f"{prefix}.bn1.running_mean"],
-            arrays[f"{prefix}.bn1.running_var"],
-            dtype,
-        )
-        out = _relu(out)
+        out = _relu(_bn(arrays, f"{prefix}.bn1", out, dtype))
         out = _conv(out, arrays[f"{prefix}.conv2.w"], 1, 1, dtype)
-        out = _bn_eval(
-            out,
-            arrays[f"{prefix}.bn2.gamma"],
-            arrays[f"{prefix}.bn2.beta"],
-            arrays[f"{prefix}.bn2.running_mean"],
-            arrays[f"{prefix}.bn2.running_var"],
-            dtype,
-        )
+        out = _bn(arrays, f"{prefix}.bn2", out, dtype)
         if downsample:
             skip = _conv(x_in, arrays[f"{prefix}.proj.w"], stride, 0, dtype)
-            skip = _bn_eval(
-                skip,
-                arrays[f"{prefix}.proj_bn.gamma"],
-                arrays[f"{prefix}.proj_bn.beta"],
-                arrays[f"{prefix}.proj_bn.running_mean"],
-                arrays[f"{prefix}.proj_bn.running_var"],
-                dtype,
-            )
+            skip = _bn(arrays, f"{prefix}.proj_bn", skip, dtype)
         else:
             skip = x_in
         return _relu(out + skip)
 
     out = _conv(x, arrays["stem.conv.w"], 1, 1, dtype)
-    out = _bn_eval(
-        out,
-        arrays["stem.bn.gamma"],
-        arrays["stem.bn.beta"],
-        arrays["stem.bn.running_mean"],
-        arrays["stem.bn.running_var"],
-        dtype,
-    )
-    out = _relu(out)
+    out = _relu(_bn(arrays, "stem.bn", out, dtype))
     for si, (_, blocks) in enumerate(spec.stages):
         for bi in range(blocks):
             out = block(out, f"stage{si}.block{bi}", bi == 0)
@@ -154,14 +126,7 @@ class GradcheckResult:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "loss": self.loss,
-            "group_errors": self.group_errors,
-            "worst_param": self.worst_param,
-            "max_rel_err": self.max_rel_err,
-            "masked_fraction": self.masked_fraction,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def finite_difference_grads(

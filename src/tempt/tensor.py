@@ -1,7 +1,7 @@
 """Dense float32 tensors with a reverse-mode autodiff tape.
 
 The op set is exactly what the CNN forward pass and the losses need:
-elementwise arithmetic with trailing-dim broadcasting, matmul, conv2d,
+elementwise arithmetic with trailing-dim broadcasting, matmul, transpose, conv2d,
 batchnorm2d, relu, global average pooling, exp/log/sqrt, reductions and
 row gathering. Every op checks its output for NaN/Inf and raises instead
 of propagating garbage.
@@ -14,7 +14,7 @@ forwards over distinct inputs can run concurrently.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,11 +38,6 @@ def _ensure_finite(data: Array, op: str) -> None:
     hi = float(np.max(data))
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise NonFiniteValue(f"op '{op}' produced a non-finite value")
-
-
-def _as_f32(data) -> Array:
-    arr = np.asarray(data, dtype=np.float32)
-    return arr
 
 
 class Node:
@@ -71,11 +66,23 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "name", "node")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data = _as_f32(data)
+        self.data = np.asarray(data, dtype=np.float32)
         _ensure_finite(self.data, "tensor")
         self.requires_grad = bool(requires_grad)
         self.name = name
         self.node: Node | None = None
+
+    @classmethod
+    def _unchecked(
+        cls, data: Array, requires_grad: bool = False, name: str | None = None, node: Node | None = None
+    ) -> "Tensor":
+        """A tensor over ``data`` as given: no copy, no dtype cast, no finite check."""
+        t = cls.__new__(cls)
+        t.data = data
+        t.requires_grad = requires_grad
+        t.name = name
+        t.node = node
+        return t
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -86,10 +93,6 @@ class Tensor:
             raise ShapeMismatch(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def constant(self) -> "Tensor":
-        """View of the same buffer, detached from any graph."""
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
@@ -98,26 +101,14 @@ class Tensor:
     def __add__(self, other):
         return tensor_binop(self, _wrap(other), "add")
 
-    def __radd__(self, other):
-        return tensor_binop(_wrap(other), self, "add")
-
     def __sub__(self, other):
         return tensor_binop(self, _wrap(other), "sub")
-
-    def __rsub__(self, other):
-        return tensor_binop(_wrap(other), self, "sub")
 
     def __mul__(self, other):
         return tensor_binop(self, _wrap(other), "mul")
 
-    def __rmul__(self, other):
-        return tensor_binop(_wrap(other), self, "mul")
-
     def __truediv__(self, other):
         return div(self, _wrap(other))
-
-    def __neg__(self):
-        return self * -1.0
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -131,16 +122,9 @@ def _wrap(value) -> Tensor:
 
 def _make(data: Array, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     _ensure_finite(data, op)
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.name = None
     if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out.node = Node(op, parents, backward_fn)
-    else:
-        out.requires_grad = False
-        out.node = None
-    return out
+        return Tensor._unchecked(data, True, node=Node(op, parents, backward_fn))
+    return Tensor._unchecked(data)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -323,6 +307,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, "matmul", (a, b), backward)
 
 
+def transpose(x: Tensor) -> Tensor:
+    """2-D transpose as a view of ``x``'s buffer."""
+
+    def backward(g: Array) -> list[Array | None]:
+        return [np.ascontiguousarray(g.T)]
+
+    return _make(x.data.T, "transpose", (x,), backward)
+
+
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -393,27 +386,6 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         return [gx, gw]
 
     return _make(out, "conv2d", (x, kernel), backward)
-
-
-def conv2d_direct(x: Array, kernel: Array, stride: int = 1, pad: int = 0) -> Array:
-    """Loop-nest reference convolution; the oracle the fast path must match."""
-    n, c, h, w = x.shape
-    f, _, kh, kw = kernel.shape
-    oh, ow = _conv_out_hw(h, w, kh, kw, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))).astype(np.float64)
-    k64 = kernel.astype(np.float64)
-    out = np.zeros((n, f, oh, ow), dtype=np.float64)
-    for ni in range(n):
-        for fi in range(f):
-            for oi in range(oh):
-                for oj in range(ow):
-                    acc = 0.0
-                    for ci in range(c):
-                        for i in range(kh):
-                            for j in range(kw):
-                                acc += xp[ni, ci, oi * stride + i, oj * stride + j] * k64[fi, ci, i, j]
-                    out[ni, fi, oi, oj] = acc
-    return out.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -513,30 +485,24 @@ def global_avg_pool(x: Tensor) -> Tensor:
 # backward pass
 
 
-class Tape:
-    """Topologically ordered node list reachable from one root tensor."""
-
-    def __init__(self, nodes: list[Tensor]):
-        self.nodes = nodes  # tensors carrying Node records, inputs first
-
-    @classmethod
-    def from_root(cls, root: Tensor) -> "Tape":
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            t, expanded = stack.pop()
-            if expanded:
-                order.append(t)
-                continue
-            if id(t) in seen or t.node is None:
-                continue
-            seen.add(id(t))
-            stack.append((t, True))
-            for p in t.node.parents:
-                if p.node is not None and id(p) not in seen:
-                    stack.append((p, False))
-        return cls(order)
+def tape_order(root: Tensor) -> list[Tensor]:
+    """Tensors carrying Node records reachable from ``root``, inputs first."""
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if expanded:
+            order.append(t)
+            continue
+        if id(t) in seen or t.node is None:
+            continue
+        seen.add(id(t))
+        stack.append((t, True))
+        for p in t.node.parents:
+            if p.node is not None and id(p) not in seen:
+                stack.append((p, False))
+    return order
 
 
 def backward(loss: Tensor) -> dict[Tensor, Tensor]:
@@ -558,8 +524,7 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
             leaf_grads[loss] = Tensor(np.ones_like(loss.data))
         return leaf_grads
 
-    tape = Tape.from_root(loss)
-    for t in reversed(tape.nodes):
+    for t in reversed(tape_order(loss)):
         g = grads.pop(id(t), None)
         if g is None:
             continue
@@ -578,10 +543,10 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
     return leaf_grads
 
 
-def activations_and_pool(x: Tensor, kind: str) -> Tensor:
-    """Dispatch helper: kind is 'relu' or 'global_avg_pool'."""
-    if kind == "relu":
-        return relu(x)
-    if kind == "global_avg_pool":
-        return global_avg_pool(x)
-    raise ValueError(f"unknown kind {kind!r}")
+def grads_by_name(leaves: dict[str, Tensor], grads: dict[Tensor, Tensor]) -> dict[str, Array]:
+    """Gradient of each named leaf that requires grad, zeros where the loss does not reach it."""
+    return {
+        name: grads[leaf].data if leaf in grads else np.zeros_like(leaf.data)
+        for name, leaf in leaves.items()
+        if leaf.requires_grad
+    }

@@ -88,12 +88,7 @@ def train(spec: model.ModelSpec, dataset: FrameDataset, cfg: TrainConfig) -> Tra
             try:
                 z = model.forward(params, batch, mode="train", leaves=leaves)
                 loss = losses.ldam_loss(z, lab, counts)
-                grads = T.backward(loss)
-                named = {
-                    name: (grads[leaf].data if leaf in grads else np.zeros_like(params[name].array))
-                    for name, leaf in leaves.items()
-                    if leaf.requires_grad
-                }
+                named = T.grads_by_name(leaves, T.backward(loss))
                 adamw_step({name: params[name].array for name in named}, named, state, opt_cfg)
             except NonFiniteValue as exc:
                 raise DivergedLoss(f"epoch {epoch}: {exc}") from exc

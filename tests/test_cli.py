@@ -10,6 +10,7 @@ import pytest
 
 from tempt import cli
 from tempt import tensor as T
+from tempt.errors import ConfigError
 
 TINY_CONFIG = {
     "model": {"input_hw": 8, "stages": [[4, 1], [8, 1]], "num_classes": 8, "head_hidden": 8, "head_scale": 16.0},
@@ -58,6 +59,21 @@ def test_unknown_config_key_exits_2(capsys, workdir):
     bad = workdir / "bad.json"
     bad.write_text(json.dumps({"model": {"input_hw": 8, "bogus": 1}}))
     code, _ = run_cli(capsys, ["gradcheck", "--loss", "ce", "--weights", "x", "--config", str(bad)])
+    assert code == 2
+
+
+@pytest.mark.parametrize("command", ["adapt", "eval", "benchmark", "gradcheck"])
+def test_missing_weights_exits_2(capsys, workdir, command):
+    argv = [command, "--weights", str(workdir / "missing.twgt"), "--config", str(workdir / "config.json")]
+    argv += {
+        "adapt": ["--video", str(workdir / "clip.tten")],
+        "benchmark": ["--out", str(workdir / "unused")],
+        "gradcheck": ["--loss", "ce"],
+    }.get(command, [])
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ConfigError):
+        args.fn(args)
+    code, _ = run_cli(capsys, argv)
     assert code == 2
 
 

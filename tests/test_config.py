@@ -6,8 +6,11 @@ import dataclasses
 import json
 from pathlib import Path
 
-from tempt import config
+import pytest
+
+from tempt import cli, config
 from tempt.benchmark import BenchmarkConfig
+from tempt.errors import ConfigError
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
@@ -33,3 +36,22 @@ def test_shipped_train_shift_holds_out_the_strongest_test_shifts():
     for name in ("brightness", "contrast", "channel_gain"):
         (lo, hi), (test_lo, test_hi) = getattr(train, name), getattr(test, name)
         assert test_lo < lo <= hi < test_hi, name
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"adapt": {"method": "foo"}},
+        {"adapt": {"steps": "10"}},
+        {"train": {"epochs": 0}},
+        {"adapt": {"median_window": 4}},
+    ],
+    ids=["unknown-method", "string-steps", "zero-epochs", "even-median-window"],
+)
+def test_invalid_config_rejected_at_load(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        config.load_config(path)
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "w.twgt")]) == 2
+    assert not (tmp_path / "w.twgt").exists()

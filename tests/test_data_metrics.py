@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from tempt import data, metrics
-from tempt.errors import InvalidRange, LabelOutOfRange, LengthMismatch
+from tempt.errors import ConfigError, InvalidRange, LabelOutOfRange, LengthMismatch
 
 
 def test_templates_shape_and_determinism():
@@ -97,6 +99,15 @@ def test_video_save_load_roundtrip(tmp_path):
     assert loaded.shift == video.shift
     assert loaded.segments == video.segments
     assert loaded.noise_sigma == video.noise_sigma
+
+    sidecar = tmp_path / "clip.tten.json"
+    doc = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**doc, "labels": doc["labels"][:-1]}))
+    with pytest.raises(LengthMismatch):
+        data.load_video(path)
+    sidecar.unlink()
+    with pytest.raises(ConfigError):
+        data.load_video(path)
 
 
 def test_glitch_frames_heavy_tailed_noise():

@@ -40,14 +40,6 @@ def test_counts_validation():
         losses.ClassCounts((1, 1), margin_scale=-1.0)
 
 
-def test_logit_series_validation():
-    losses.LogitSeries(np.zeros((3, 8)), [0, 5, 9])
-    with pytest.raises(ValueError):
-        losses.LogitSeries(np.zeros((3, 8)), [0, 5, 5])
-    with pytest.raises(ShapeMismatch):
-        losses.LogitSeries(np.zeros((3, 8)), [0, 1])
-
-
 # ---------------------------------------------------------------------------
 # cross entropy / ldam
 
@@ -233,13 +225,6 @@ def test_tcl_nonnegative_and_zero_iff_match(rng):
         loss = losses.temporal_consistency_loss(T.Tensor(y), target).item()
         assert loss >= 0.0
         assert (loss == 0.0) == bool(np.all(y == target))
-
-
-def test_prediction_difference_loss(rng):
-    y0 = rng.uniform(-1, 1, size=(5, 3)).astype(np.float32)
-    got = losses.prediction_difference_loss(T.Tensor(y0)).item()
-    want = sum(float(((y0[t] - y0[t - 1]) ** 2).sum()) for t in range(1, 5))
-    assert got == pytest.approx(want, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,10 @@ def test_truncated_weights_rejected(tiny_params):
     blob = model.save_weights(tiny_params)
     with pytest.raises(CorruptWeights):
         model.load_weights(blob[: len(blob) // 2])
+    bad_name = bytearray(blob)
+    bad_name[11] = 0xFF  # first byte of the first parameter name: not UTF-8
+    with pytest.raises(CorruptWeights):
+        model.load_weights(bytes(bad_name))
 
 
 def test_unknown_group_tag_rejected(tiny_params):
