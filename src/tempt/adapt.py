@@ -98,18 +98,9 @@ def forward_all(params: model.ModelParams, frames: np.ndarray, chunk: int = 128)
 
 def _round_robin_cap(regions: list[temporal.Region], cap: int) -> np.ndarray:
     """Frame indices for the step batch, truncated round-robin per region."""
-    pools = [list(range(r.start, r.end)) for r in regions]
-    picked: list[int] = []
-    cursor = 0
-    while len(picked) < cap and any(pools):
-        pool = pools[cursor % len(pools)]
-        if pool:
-            picked.append(pool.pop(0))
-        cursor += 1
-        if all(not p for p in pools):
-            break
-    picked.sort()
-    return np.asarray(picked, dtype=np.int64)
+    # round robin visits frames by (offset in region, region order), skipping exhausted regions
+    order = sorted((f - r.start, ri, f) for ri, r in enumerate(regions) for f in range(r.start, r.end))
+    return np.sort(np.asarray([f for _, _, f in order[:cap]], dtype=np.int64))
 
 
 def _checksum(arr: np.ndarray) -> str:

@@ -29,6 +29,9 @@ class RunConfig:
 
 _SECTIONS = {"model", "train", "adapt", "benchmark"}
 
+# JSON types a scalar field takes, by the type of its default (an int is a valid float)
+_SCALAR_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
 
 def _build(cls, raw: dict, path: str):
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -37,6 +40,9 @@ def _build(cls, raw: dict, path: str):
         raise ConfigError(f"unknown keys at {path}: {sorted(unknown)}")
     kwargs = {}
     for name, value in raw.items():
+        accepted = _SCALAR_TYPES.get(type(fields[name].default))
+        if accepted and type(value) not in accepted:
+            raise ConfigError(f"{path}.{name} must be {type(fields[name].default).__name__}, got {value!r}")
         if name in ("train_shift", "test_shift"):
             value = _shift_ranges(value, f"{path}.{name}")
         elif name == "stages":

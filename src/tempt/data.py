@@ -244,13 +244,11 @@ def make_videos(
     noise_sigma: float,
     min_segment: int,
     master_seed,
-    templates: np.ndarray | None = None,
+    templates: np.ndarray,
     glitch_rate: float = 0.0,
     glitch_scale: float = 6.0,
 ) -> list[SyntheticVideo]:
     """A split of n videos with per-video seeds derived from one master seed."""
-    if templates is None:
-        templates = class_templates()
     seeds = np.random.SeedSequence(master_seed).generate_state(n, dtype=np.uint32)
     return [
         generate_video(
@@ -311,19 +309,22 @@ def load_video(path: str | Path) -> SyntheticVideo:
         if not p.is_file():
             raise ConfigError(f"video file not found: {p}")
     frames = read_tten(path)
-    sidecar = json.loads(sidecar_path.read_text())
-    labels = np.asarray(sidecar["labels"], dtype=np.int64)
-    if labels.shape != frames.shape[:1]:
-        raise LengthMismatch(f"{labels.size} labels for {frames.shape[0]} frames in {sidecar_path}")
-    return SyntheticVideo(
-        frames=frames.astype(np.float32),
-        labels=labels,
-        segments=[tuple(s) for s in sidecar["segments"]],
-        shift=Shift.from_json_dict(sidecar["shift"]),
-        noise_sigma=sidecar["noise_sigma"],
-        seed=sidecar["seed"],
-        min_segment=sidecar["min_segment"],
-        glitch_rate=sidecar.get("glitch_rate", 0.0),
-        glitch_scale=sidecar.get("glitch_scale", 6.0),
-        glitch_frames=tuple(sidecar.get("glitch_frames", [])),
-    )
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+        labels = np.asarray(sidecar["labels"], dtype=np.int64)
+        if labels.shape != frames.shape[:1]:
+            raise LengthMismatch(f"{labels.size} labels for {frames.shape[0]} frames in {sidecar_path}")
+        return SyntheticVideo(
+            frames=frames.astype(np.float32),
+            labels=labels,
+            segments=[tuple(s) for s in sidecar["segments"]],
+            shift=Shift.from_json_dict(sidecar["shift"]),
+            noise_sigma=sidecar["noise_sigma"],
+            seed=sidecar["seed"],
+            min_segment=sidecar["min_segment"],
+            glitch_rate=sidecar.get("glitch_rate", 0.0),
+            glitch_scale=sidecar.get("glitch_scale", 6.0),
+            glitch_frames=tuple(sidecar.get("glitch_frames", [])),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed video sidecar {sidecar_path}: {type(exc).__name__}: {exc}") from exc

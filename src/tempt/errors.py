@@ -45,10 +45,6 @@ class LabelOutOfRange(TemptError):
     pass
 
 
-class EmptyRegionSet(TemptError):
-    pass
-
-
 class EvenWindow(TemptError):
     pass
 

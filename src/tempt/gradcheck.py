@@ -49,43 +49,31 @@ def run_gradcheck(
         y0 = reference.forward_eval(_arrays(params), spec, frames, dtype=np.float32)
         target = temporal.median_filter(y0, 3)  # fixed while parameters are perturbed
         names = params.names_in_group(model.GROUP_BN_AFFINE)
-
-        def numeric_loss(arrays: dict[str, np.ndarray]) -> tuple[float, bytes]:
-            pattern: list = []
-            z = reference.forward_eval(arrays, spec, frames, relu_pattern=pattern)
-            return reference.temporal_consistency_value(z, target), b"".join(pattern)
-
-        def analytic_loss(leaves):
-            z = model.forward(params, frames, mode="eval", leaves=leaves)
-            return losses.temporal_consistency_loss(z, target)
-
+        value, loss = (
+            lambda z: reference.temporal_consistency_value(z, target),
+            lambda z: losses.temporal_consistency_loss(z, target),
+        )
     else:
         frames = rng.uniform(-1, 1, size=(4, spec.in_channels, spec.input_hw, spec.input_hw)).astype(np.float32)
         labels = rng.integers(0, k, size=4)
         counts = losses.ClassCounts(tuple(int(c) for c in rng.integers(5, 50, size=k)), margin_scale=2.0)
         names = [n for n in params.names() if params[n].trainable]
+        value, loss = {
+            "ce": (lambda z: reference.cross_entropy_value(z, labels), lambda z: losses.cross_entropy(z, labels)),
+            "ldam": (
+                lambda z: reference.ldam_value(z, labels, counts.n, counts.margin_scale),
+                lambda z: losses.ldam_loss(z, labels, counts),
+            ),
+            "entropy": (reference.entropy_value, losses.entropy_loss),
+        }[loss_kind]
 
-        def numeric_loss(arrays: dict[str, np.ndarray]) -> tuple[float, bytes]:
-            pattern: list = []
-            z = reference.forward_eval(arrays, spec, frames, relu_pattern=pattern)
-            if loss_kind == "ce":
-                value = reference.cross_entropy_value(z, labels)
-            elif loss_kind == "ldam":
-                value = reference.ldam_value(z, labels, counts.n, counts.margin_scale)
-            else:
-                value = reference.entropy_value(z)
-            return value, b"".join(pattern)
-
-        def analytic_loss(leaves):
-            z = model.forward(params, frames, mode="eval", leaves=leaves)
-            if loss_kind == "ce":
-                return losses.cross_entropy(z, labels)
-            if loss_kind == "ldam":
-                return losses.ldam_loss(z, labels, counts)
-            return losses.entropy_loss(z)
+    def numeric_loss(arrays: dict[str, np.ndarray]) -> tuple[float, bytes]:
+        pattern: list = []
+        z = reference.forward_eval(arrays, spec, frames, relu_pattern=pattern)
+        return value(z), b"".join(pattern)
 
     leaves = params.leaves(trainable=set(names))
-    grads = T.backward(analytic_loss(leaves))
+    grads = T.backward(loss(model.forward(params, frames, mode="eval", leaves=leaves)))
     analytic = {name: grads[leaves[name]].data for name in names}
     numeric, masked_fraction = reference.finite_difference_grads(
         numeric_loss,

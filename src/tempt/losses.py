@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import EmptyRegionSet, LabelOutOfRange, ShapeMismatch
+from .errors import LabelOutOfRange, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -85,37 +85,16 @@ def entropy_loss(z: T.Tensor) -> T.Tensor:
     return T.tensor_mean(T.tensor_sum(p * logp, axis=1) * np.float32(-1.0))
 
 
-def _region_indices(regions, t: int) -> np.ndarray:
-    if regions is None:
-        return np.arange(t, dtype=np.int64)
-    idx: list[int] = []
-    for start, end in regions:
-        if not (0 <= start < end <= t):
-            raise ShapeMismatch(f"region ({start},{end}) outside [0,{t})")
-        idx.extend(range(start, end))
-    if not idx:
-        raise EmptyRegionSet("no frames selected")
-    return np.asarray(idx, dtype=np.int64)
+def temporal_consistency_loss(y: T.Tensor, target: np.ndarray) -> T.Tensor:
+    """Mean over frames of the squared L2 distance to a fixed target.
 
-
-def temporal_consistency_loss(
-    y: T.Tensor,
-    target: np.ndarray,
-    regions: Sequence[tuple[int, int]] | None = None,
-) -> T.Tensor:
-    """Mean squared L2 distance to a fixed target over the selected frames.
-
-    The target is a constant; no gradient flows into it. ``regions`` is a
-    list of half-open frame ranges, or None for the whole series.
+    The target is a constant; no gradient flows into it. The caller picks
+    the frames: ``adapt_video`` passes only its step batch.
     """
     target = np.asarray(target, dtype=np.float32)
     if y.data.shape != target.shape:
         raise ShapeMismatch(f"target shape {target.shape} != logits shape {y.data.shape}")
-    if regions is not None and len(regions) == 0:
-        raise EmptyRegionSet("empty region list")
-    idx = _region_indices(regions, y.shape[0])
-    ysel = T.take_rows(y, idx) if regions is not None else y
-    diff = ysel - T.Tensor(target[idx])
+    diff = y - T.Tensor(target)
     return T.tensor_mean(T.tensor_sum(diff * diff, axis=1))
 
 

@@ -84,7 +84,7 @@ class ModelParams:
     stable across save/load.
     """
 
-    def __init__(self, spec: ModelSpec | None = None):
+    def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.entries: dict[str, ParamEntry] = {}
 
@@ -102,9 +102,6 @@ class ModelParams:
 
     def __getitem__(self, name: str) -> ParamEntry:
         return self.entries[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
 
     def names_in_group(self, group: str) -> list[str]:
         return [n for n, e in self.entries.items() if e.group == group]
@@ -215,8 +212,6 @@ def stem_conv(params: ModelParams, frames: np.ndarray) -> np.ndarray:
     Adaptation never trains the stem kernel, so one pass over a video's
     frames serves every later ``forward`` on them (its ``stem`` argument).
     """
-    if params.spec is None:
-        raise InvalidSpec("ModelParams has no attached ModelSpec")
     x = T.Tensor(frames)
     _check_frames(params.spec, x)
     return T.conv2d(x, T.Tensor(params["stem.conv.w"].array), stride=1, pad=1).data
@@ -224,7 +219,7 @@ def stem_conv(params: ModelParams, frames: np.ndarray) -> np.ndarray:
 
 def forward(
     params: ModelParams,
-    batch: T.Tensor | np.ndarray,
+    batch: np.ndarray,
     mode: str = "eval",
     leaves: dict[str, T.Tensor] | None = None,
     stem: np.ndarray | None = None,
@@ -237,9 +232,7 @@ def forward(
     it replaces the stem convolution and needs a frozen stem kernel.
     """
     spec = params.spec
-    if spec is None:
-        raise InvalidSpec("ModelParams has no attached ModelSpec")
-    x = batch if isinstance(batch, T.Tensor) else T.Tensor(batch)
+    x = T.Tensor(batch)
     _check_frames(spec, x)
     if leaves is None:
         leaves = params.leaves(trainable=set())
@@ -292,7 +285,8 @@ def save_weights(params: ModelParams) -> bytes:
     return b"".join(chunks)
 
 
-def load_weights(data: bytes, spec: ModelSpec | None = None) -> ModelParams:
+def load_weights(data: bytes, spec: ModelSpec) -> ModelParams:
+    """Parse a weights file; its entries must be exactly those ``build_model(spec)`` makes."""
     if len(data) < 9 or data[:4] != WEIGHTS_MAGIC:
         raise CorruptWeights("bad weights magic")
     version, count = struct.unpack_from("<BI", data, 4)
@@ -323,12 +317,14 @@ def load_weights(data: bytes, spec: ModelSpec | None = None) -> ModelParams:
         params.add(name, arr, _CODE_GROUPS[group_code], bool(trainable))
     if pos != len(data):
         raise CorruptWeights(f"{len(data) - pos} trailing bytes")
+    check_same_arch(params, build_model(spec, 0))
     return params
 
 
 def check_same_arch(a: ModelParams, b: ModelParams) -> None:
     if a.names() != b.names():
-        raise ArchMismatch("parameter name sets differ")
+        unmatched = sorted(set(a.names()) ^ set(b.names()))[:3]
+        raise ArchMismatch(f"parameter names differ in set or order, e.g. {unmatched}")
     for name in a.names():
         ea, eb = a[name], b[name]
         if ea.array.shape != eb.array.shape or ea.group != eb.group:

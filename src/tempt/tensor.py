@@ -29,6 +29,8 @@ from .errors import (
 
 Array = np.ndarray
 
+BN_MOMENTUM = 0.1  # weight of the batch statistic in each running-stat update
+
 
 def _ensure_finite(data: Array, op: str) -> None:
     # min/max reductions detect NaN (poisons both) and +-Inf without a bool temp
@@ -109,9 +111,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, _wrap(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _wrap(value) -> Tensor:
@@ -260,13 +259,9 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, "sum", (x,), backward)
 
 
-def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = x.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([x.shape[a] for a in axes]))
-    return tensor_sum(x, axis=axis, keepdims=keepdims) * np.float32(1.0 / count)
+def tensor_mean(x: Tensor) -> Tensor:
+    """Mean over every element, as a scalar."""
+    return tensor_sum(x) * np.float32(1.0 / x.data.size)
 
 
 def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
@@ -400,14 +395,13 @@ def batchnorm2d(
     running_var: Tensor,
     eps: float = 1e-5,
     mode: str = "eval",
-    momentum: float = 0.1,
 ) -> Tensor:
     """Per-channel batch normalization over (N,C,H,W).
 
     eval mode normalizes with the running statistics and never writes
     them; train mode normalizes with batch statistics and updates the
-    running buffers in place (biased variance for normalization,
-    unbiased for the running update).
+    running buffers in place with momentum ``BN_MOMENTUM`` (biased
+    variance for normalization, unbiased for the running update).
     """
     if eps <= 0:
         raise ShapeMismatch(f"batchnorm eps must be > 0, got {eps}")
@@ -436,8 +430,8 @@ def batchnorm2d(
         else:
             var_unbiased = var_c
         # in-place running update; stats buffers are never graph nodes
-        running_mean.data[...] = ((1 - momentum) * running_mean.data + momentum * mu_c).astype(np.float32)
-        running_var.data[...] = ((1 - momentum) * running_var.data + momentum * var_unbiased).astype(np.float32)
+        running_mean.data[...] = ((1 - BN_MOMENTUM) * running_mean.data + BN_MOMENTUM * mu_c).astype(np.float32)
+        running_var.data[...] = ((1 - BN_MOMENTUM) * running_var.data + BN_MOMENTUM * var_unbiased).astype(np.float32)
         mu = mu_c.astype(np.float32).reshape(bc)
         var = var_c.astype(np.float32).reshape(bc)
 

@@ -191,6 +191,10 @@ def test_round_robin_cap():
     assert list(idx) == [0, 1, 2, 10, 11, 12]
     idx_all = adapt_mod._round_robin_cap(regions, 100)
     assert list(idx_all) == [0, 1, 2, 3, 10, 11, 12, 13]
+    # unequal lengths: the exhausted 2-frame region is skipped from the third round on
+    uneven = [temporal.Region(0, 2, 0), temporal.Region(5, 10, 0), temporal.Region(20, 23, 0)]
+    assert list(adapt_mod._round_robin_cap(uneven, 6)) == [0, 1, 5, 6, 20, 21]
+    assert list(adapt_mod._round_robin_cap(uneven, 7)) == [0, 1, 5, 6, 7, 20, 21]
 
 
 def test_isolate_check_flags_drift(tiny_params):

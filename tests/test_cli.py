@@ -10,7 +10,7 @@ import pytest
 
 from tempt import cli
 from tempt import tensor as T
-from tempt.errors import ConfigError
+from tempt.errors import ArchMismatch, ConfigError
 
 TINY_CONFIG = {
     "model": {"input_hw": 8, "stages": [[4, 1], [8, 1]], "num_classes": 8, "head_hidden": 8, "head_scale": 16.0},
@@ -214,6 +214,19 @@ def test_eval_command(capsys, workdir, trained_weights):
     doc = json.loads(out)
     assert doc["videos"] == 2
     assert 0.0 <= doc["macro_f1_mean"] <= 1.0
+
+
+def test_eval_weights_for_another_model_exits_2(capsys, workdir, trained_weights):
+    deeper = workdir / "deeper.json"
+    model_cfg = {**TINY_CONFIG["model"], "stages": [[4, 1], [8, 1], [16, 1]]}
+    deeper.write_text(json.dumps({**TINY_CONFIG, "model": model_cfg}))
+    argv = ["eval", "--weights", str(trained_weights), "--config", str(deeper)]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ArchMismatch):
+        args.fn(args)
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
 
 
 def test_benchmark_outputs(capsys, workdir, trained_weights):

@@ -45,8 +45,11 @@ def test_shipped_train_shift_holds_out_the_strongest_test_shifts():
         {"adapt": {"steps": "10"}},
         {"train": {"epochs": 0}},
         {"adapt": {"median_window": 4}},
+        {"adapt": {"beta1": "x"}},
+        {"adapt": {"steps": 2.5}},
+        {"benchmark": {"master_seed": None}},
     ],
-    ids=["unknown-method", "string-steps", "zero-epochs", "even-median-window"],
+    ids=["unknown-method", "string-steps", "zero-epochs", "even-median-window", "string-beta1", "float-steps", "null-seed"],
 )
 def test_invalid_config_rejected_at_load(tmp_path, doc):
     path = tmp_path / "bad.json"

@@ -105,6 +105,12 @@ def test_video_save_load_roundtrip(tmp_path):
     sidecar.write_text(json.dumps({**doc, "labels": doc["labels"][:-1]}))
     with pytest.raises(LengthMismatch):
         data.load_video(path)
+    sidecar.write_text('{"labels": [1')
+    with pytest.raises(ConfigError, match="malformed"):
+        data.load_video(path)
+    sidecar.write_text(json.dumps({k: v for k, v in doc.items() if k != "segments"}))
+    with pytest.raises(ConfigError, match="segments"):
+        data.load_video(path)
     sidecar.unlink()
     with pytest.raises(ConfigError):
         data.load_video(path)

@@ -7,7 +7,7 @@ import pytest
 
 from tempt import losses, reference
 from tempt import tensor as T
-from tempt.errors import EmptyRegionSet, LabelOutOfRange, ShapeMismatch
+from tempt.errors import LabelOutOfRange, ShapeMismatch
 
 
 def fd_loss_grad(loss_fn, z0: np.ndarray, step=1e-3):
@@ -174,16 +174,6 @@ def test_tcl_single_frame_unit_distance():
     assert loss.item() == pytest.approx(1.0, abs=1e-7)
 
 
-def test_tcl_region_partition_identity(rng):
-    y0 = rng.uniform(-1, 1, size=(10, 4)).astype(np.float32)
-    target = rng.uniform(-1, 1, size=(10, 4)).astype(np.float32)
-    full = losses.temporal_consistency_loss(T.Tensor(y0), target).item()
-    as_all = losses.temporal_consistency_loss(T.Tensor(y0), target, regions=None).item()
-    cover = losses.temporal_consistency_loss(T.Tensor(y0), target, regions=[(0, 4), (4, 10)]).item()
-    assert full == pytest.approx(as_all, abs=1e-7)
-    assert full == pytest.approx(cover, abs=1e-6)
-
-
 def test_tcl_matches_f64_oracle(rng):
     y0 = rng.uniform(-2, 2, size=(9, 8)).astype(np.float32)
     target = rng.uniform(-2, 2, size=(9, 8)).astype(np.float32)
@@ -196,20 +186,16 @@ def test_tcl_errors(rng):
     y = T.Tensor(np.zeros((4, 3), dtype=np.float32))
     with pytest.raises(ShapeMismatch):
         losses.temporal_consistency_loss(y, np.zeros((5, 3), dtype=np.float32))
-    with pytest.raises(EmptyRegionSet):
-        losses.temporal_consistency_loss(y, np.zeros((4, 3), dtype=np.float32), regions=[])
-    with pytest.raises(ShapeMismatch):
-        losses.temporal_consistency_loss(y, np.zeros((4, 3), dtype=np.float32), regions=[(2, 9)])
 
 
 def test_tcl_gradient(rng):
     y0 = rng.uniform(-1, 1, size=(6, 4)).astype(np.float32)
     target = rng.uniform(-1, 1, size=(6, 4)).astype(np.float32)
     yt = T.Tensor(y0, requires_grad=True)
-    grads = T.backward(losses.temporal_consistency_loss(yt, target, regions=[(1, 3), (4, 6)]))
+    grads = T.backward(losses.temporal_consistency_loss(yt, target))
 
     def oracle(y):
-        d = (y.astype(np.float64) - target)[[1, 2, 4, 5]]
+        d = y.astype(np.float64) - target
         return float((d**2).sum(axis=1).mean())
 
     fd = fd_loss_grad(oracle, y0)

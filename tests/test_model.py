@@ -8,6 +8,7 @@ import pytest
 from tempt import model, reference
 from tempt import tensor as T
 from tempt.errors import (
+    ArchMismatch,
     CorruptWeights,
     InvalidSpec,
     NormalizationDegenerate,
@@ -206,26 +207,36 @@ def test_save_load_roundtrip(tiny_spec, rng):
     assert model.save_weights(loaded) == blob
 
 
-def test_truncated_weights_rejected(tiny_params):
+def test_truncated_weights_rejected(tiny_spec, tiny_params):
     blob = model.save_weights(tiny_params)
     with pytest.raises(CorruptWeights):
-        model.load_weights(blob[: len(blob) // 2])
+        model.load_weights(blob[: len(blob) // 2], spec=tiny_spec)
     bad_name = bytearray(blob)
     bad_name[11] = 0xFF  # first byte of the first parameter name: not UTF-8
     with pytest.raises(CorruptWeights):
-        model.load_weights(bytes(bad_name))
+        model.load_weights(bytes(bad_name), spec=tiny_spec)
 
 
-def test_unknown_group_tag_rejected(tiny_params):
+def test_weights_for_another_spec_rejected(tiny_spec, tiny_params):
+    blob = model.save_weights(tiny_params)
+    deeper = model.ModelSpec(input_hw=8, stages=((4, 1), (8, 1), (16, 1)), num_classes=8, head_hidden=8)
+    with pytest.raises(ArchMismatch):
+        model.load_weights(blob, spec=deeper)
+    wider = model.ModelSpec(input_hw=8, stages=((4, 1), (16, 1)), num_classes=8, head_hidden=8)
+    with pytest.raises(ArchMismatch):
+        model.load_weights(blob, spec=wider)
+
+
+def test_unknown_group_tag_rejected(tiny_spec, tiny_params):
     blob = bytearray(model.save_weights(tiny_params))
     # first record: magic(4) + version(1) + count(4) + name_len(2) -> name, then group byte
     name_len = int.from_bytes(blob[9:11], "little")
     group_pos = 11 + name_len
     blob[group_pos] = 99
     with pytest.raises(VersionMismatch):
-        model.load_weights(bytes(blob))
+        model.load_weights(bytes(blob), spec=tiny_spec)
 
 
-def test_bad_magic_rejected():
+def test_bad_magic_rejected(tiny_spec):
     with pytest.raises(CorruptWeights):
-        model.load_weights(b"NOPE" + b"\x00" * 16)
+        model.load_weights(b"NOPE" + b"\x00" * 16, spec=tiny_spec)

@@ -33,3 +33,21 @@ def test_unused_import_detector_flags_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def raised_names(source: str) -> set[str]:
+    """Names after ``raise``, called (``raise X(...)``) or bare (``raise X``)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_raised():
+    errors = ast.parse((SRC / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)} - {"TemptError"}
+    raised = set().union(*(raised_names(p.read_text()) for p in MODULES))
+    assert sorted(classes - raised) == []

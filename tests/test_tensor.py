@@ -314,7 +314,7 @@ def test_batchnorm_eval_never_writes_stats(rng):
 def test_batchnorm_train_updates_stats(rng):
     x, gamma, beta, mean, var = _bn_args(rng)
     mean_t, var_t = T.Tensor(mean.copy()), T.Tensor(var.copy())
-    T.batchnorm2d(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), mean_t, var_t, mode="train", momentum=0.1)
+    T.batchnorm2d(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), mean_t, var_t, mode="train")
     batch_mean = x.mean(axis=(0, 2, 3))
     assert np.allclose(mean_t.data, 0.9 * mean + 0.1 * batch_mean, atol=1e-5)
     assert not np.array_equal(var_t.data, var)
@@ -418,4 +418,3 @@ def test_take_rows_gather_scatter():
 
 def test_sum_axis_keepdims(rng):
     fd_check(lambda x: T.tensor_sum(x, axis=1, keepdims=True), [(3, 5)], seed=21)
-    fd_check(lambda x: T.tensor_mean(x, axis=0), [(4, 2)], seed=22)
