@@ -49,6 +49,10 @@ class AdaptConfig:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.median_window < 1 or self.median_window % 2 == 0:
             raise ValueError(f"median_window must be odd and >= 1, got {self.median_window}")
+        if self.region_window < 2:
+            raise ValueError(f"region_window must be >= 2, got {self.region_window}")
+        if self.num_regions < 1:
+            raise ValueError(f"num_regions must be >= 1, got {self.num_regions}")
         if self.batch_frames_cap < 1:
             raise ValueError("batch_frames_cap must be >= 1")
 
@@ -182,7 +186,7 @@ def adapt_video(
             if config.method == "tent":
                 size = min(config.batch_frames_cap, t_frames)
                 batch_idx = np.sort(rng.choice(t_frames, size=size, replace=False))
-                batch_stem = video_stem[batch_idx]
+                batch_stem = video_stem[:, batch_idx]  # (C0, N, H, W): frames on axis 1
             leaves = work.leaves(trainable=subset)
             z = model.forward(work, frames[batch_idx], mode="eval", leaves=leaves, stem=batch_stem)
             if config.method == "tempt":

@@ -5,6 +5,10 @@ Topology: a stride-1 stem conv, then one downsampling residual stage per
 global average pooling, a hidden FC+relu, and a weight- and
 input-normalized output layer z = scale * (What @ xhat) that bounds every
 logit to [-scale, +scale].
+
+Callers pass (N, 3, H, W) frames; the layers run on channel-major
+(C, N, H, W) maps (see ``tensor``), and the frames are turned into one at
+the stem.
 """
 
 from __future__ import annotations
@@ -206,15 +210,21 @@ def _check_frames(spec: ModelSpec, x: T.Tensor) -> None:
         raise ShapeMismatch(f"expected {spec.input_hw}x{spec.input_hw} frames, got {x.shape[2]}x{x.shape[3]}")
 
 
+def _channel_major(x: T.Tensor) -> T.Tensor:
+    """(N, 3, H, W) frames as the (3, N, H, W) map every layer takes: a view, which the stem's im2col reads."""
+    return T.Tensor._unchecked(x.data.transpose(1, 0, 2, 3))
+
+
 def stem_conv(params: ModelParams, frames: np.ndarray) -> np.ndarray:
-    """Untracked stem convolution of an (N, 3, H, W) batch.
+    """Untracked stem convolution of an (N, 3, H, W) batch, as a (C0, N, H, W) map.
 
     Adaptation never trains the stem kernel, so one pass over a video's
-    frames serves every later ``forward`` on them (its ``stem`` argument).
+    frames serves every later ``forward`` on them (its ``stem`` argument,
+    sliced along the frame axis 1).
     """
     x = T.Tensor(frames)
     _check_frames(params.spec, x)
-    return T.conv2d(x, T.Tensor(params["stem.conv.w"].array), stride=1, pad=1).data
+    return T.conv2d(_channel_major(x), T.Tensor(params["stem.conv.w"].array), stride=1, pad=1).data
 
 
 def forward(
@@ -239,11 +249,11 @@ def forward(
 
     try:
         if stem is None:
-            out = T.conv2d(x, leaves["stem.conv.w"], stride=1, pad=1)
+            out = T.conv2d(_channel_major(x), leaves["stem.conv.w"], stride=1, pad=1)
         elif leaves["stem.conv.w"].requires_grad:
             raise ValueError("a precomputed stem needs a frozen stem kernel")
-        elif stem.shape[0] != x.shape[0]:
-            raise ShapeMismatch(f"stem has {stem.shape[0]} frames, batch {x.shape[0]}")
+        elif stem.shape != (leaves["stem.conv.w"].shape[0], x.shape[0]) + x.shape[2:]:
+            raise ShapeMismatch(f"stem has shape {stem.shape}, expected (C0, N, H, W) for a {x.shape} batch")
         else:
             out = T.Tensor(stem)
         out = T.relu(_bn(leaves, "stem.bn", out, mode))

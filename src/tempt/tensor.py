@@ -6,6 +6,12 @@ batchnorm2d, relu, global average pooling, exp/log/sqrt, reductions and
 row gathering. Every op checks its output for NaN/Inf and raises instead
 of propagating garbage.
 
+Activations are channel-major: conv2d, batchnorm2d and global_avg_pool
+take (C, N, H, W) maps, so a conv's (F, C*kh*kw) @ (C*kh*kw, N*H'*W')
+product is already its (F, N, H', W') output and its incoming gradient
+is already a (F, N*H'*W') matrix. Kernels stay (F, C, kh, kw), and
+global_avg_pool hands the head (N, C) rows.
+
 Tensors are immutable values once created. A graph is recorded only when
 an input requires grad, so plain inference builds no tape. Each backward
 pass assembles its own topologically ordered tape from the loss node, so
@@ -321,29 +327,118 @@ def _conv_out_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> tup
     return oh, ow
 
 
-def _im2col(xp: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array:
-    """(N,C,Hp,Wp) -> (C*kh*kw, N*oh*ow) patch matrix, one patch per column.
+# A conv whose input is exactly stride x (oh, ow) -- every conv of the model --
+# runs on the input's stride phases: phase (u, v) holds the pixels (s*r + u, s*q + v),
+# a dense (N, oh, ow) grid flattened to one N*oh*ow row per channel. Output
+# pixel (r, q) of tap (i, j) meets phase ((i - pad) % s, (j - pad) % s) at
+# (r + di, q + dj) with (di, dj) = ((i - pad) // s, (j - pad) // s): one flat
+# offset di*ow + dj. Pixels the offset carries past a row or frame edge are
+# padding; they are zeroed, so each tap moves one contiguous block (a tap that
+# only meets padding moves nothing). Other shapes go through an explicitly
+# padded input.
 
-    Rows are (channel, tap) and columns (frame, row, col), so the copy
-    walks ``xp`` along its contiguous last axis.
+
+def _tap_phases(kh: int, kw: int, stride: int, pad: int):
+    """(i, j, (u, v), di, dj) for each tap, row-major."""
+    for i in range(kh):
+        di, u = divmod(i - pad, stride)
+        for j in range(kw):
+            dj, v = divmod(j - pad, stride)
+            yield i, j, (u, v), di, dj
+
+
+def _flat_pair(di: int, dj: int, ow: int, size: int) -> tuple[slice, slice]:
+    """The output and phase ranges of a flat N*oh*ow row that offset (di, dj) pairs up."""
+    shift = max(-size, min(size, di * ow + dj))
+    if shift >= 0:
+        return slice(0, size - shift), slice(shift, size)
+    return slice(-shift, size), slice(0, size + shift)
+
+
+def _zero_spill(rows: Array, n: int, oh: int, ow: int, di: int, dj: int) -> None:
+    """Zero the output pixels of (C, N*oh*ow) ``rows`` whose offset (di, dj) target is padding."""
+    grid = rows.reshape(rows.shape[0], n, oh, ow)
+    if di:
+        (grid[:, :, -di:] if di > 0 else grid[:, :, :-di]).fill(0.0)
+    if dj:
+        (grid[:, :, :, -dj:] if dj > 0 else grid[:, :, :, :-dj]).fill(0.0)
+
+
+def _im2col(x: Array, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int) -> Array:
+    """(C,N,H,W) -> (C*kh*kw, N*oh*ow) patch matrix of the zero-padded input.
+
+    Rows are (channel, tap) and columns (frame, row, col), one patch per
+    column.
     """
-    n, c = xp.shape[0], xp.shape[1]
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]  # (N,C,oh,ow,kh,kw)
-    return np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)).reshape(c * kh * kw, n * oh * ow)
+    c, n, h, w = x.shape
+    size = n * oh * ow
+    if h != stride * oh or w != stride * ow:
+        xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        windows = windows[:, :, ::stride, ::stride, :, :]  # (C,N,oh,ow,kh,kw)
+        return np.ascontiguousarray(windows.transpose(0, 4, 5, 1, 2, 3)).reshape(c * kh * kw, size)
+
+    grid = x.reshape(c, n, oh, stride, ow, stride)
+    phases: dict[tuple[int, int], Array] = {}
+    cols = np.empty((c, kh, kw, size), dtype=np.float32)
+    for i, j, uv, di, dj in _tap_phases(kh, kw, stride, pad):
+        rows = cols[:, i, j]
+        if uv not in phases:
+            phases[uv] = np.ascontiguousarray(grid[:, :, :, uv[0], :, uv[1]]).reshape(c, size)
+        out, src = _flat_pair(di, dj, ow, size)
+        rows[:, out] = phases[uv][:, src]
+        _zero_spill(rows, n, oh, ow, di, dj)
+    return cols.reshape(c * kh * kw, size)
+
+
+def _col2im(taps: Array, gmat: Array, shape: tuple[int, ...], stride: int, pad: int, oh: int, ow: int) -> Array:
+    """Adjoint of ``_im2col``: the (C,N,H,W) input gradient.
+
+    ``taps`` is the kernel as (kh,kw,C,F) and ``gmat`` the (F, N*oh*ow)
+    output gradient. Each tap's (C,F) @ (F,N*oh*ow) product is added into
+    zero-filled buffers, taps in row-major order, so every input pixel sums
+    its taps in one fixed order. Zeroed spill adds +0.0, which leaves a sum
+    started from +0.0 bit-identical. Phases are interleaved once at the end.
+    """
+    c, n, h, w = shape
+    s = stride
+    size = n * oh * ow
+    if h != s * oh or w != s * ow:
+        gxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+        for i in range(taps.shape[0]):
+            for j in range(taps.shape[1]):
+                gxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += (taps[i, j] @ gmat).reshape(c, n, oh, ow)
+        return gxp[:, :, pad : pad + h, pad : pad + w]
+
+    phases: dict[tuple[int, int], Array] = {}
+    for i, j, uv, di, dj in _tap_phases(taps.shape[0], taps.shape[1], s, pad):
+        prod = taps[i, j] @ gmat
+        _zero_spill(prod, n, oh, ow, di, dj)
+        if uv not in phases:
+            phases[uv] = np.zeros((c, size), dtype=np.float32)
+        out, dst = _flat_pair(di, dj, ow, size)
+        phases[uv][:, dst] += prod[:, out]
+    if s == 1:
+        return phases[0, 0].reshape(c, n, h, w)
+    gx = np.zeros((c, n, h, w), dtype=np.float32)
+    grid = gx.reshape(c, n, oh, s, ow, s)
+    for (u, v), phase in phases.items():
+        grid[:, :, :, u, :, v] = phase.reshape(c, n, oh, ow)
+    return gx
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation with zero padding.
+    """2-D cross-correlation with zero padding, channel-major.
 
-    x: (N,C,H,W), kernel: (F,C,kh,kw) -> (N,F,H',W') with
+    x: (C,N,H,W), kernel: (F,C,kh,kw) -> (F,N,H',W') with
     H' = (H + 2*pad - kh) // stride + 1.
     """
     if stride < 1:
         raise InvalidStride(f"stride must be >= 1, got {stride}")
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeMismatch(f"conv2d expects 4-D input/kernel, got {x.shape}, {kernel.shape}")
-    n, c, h, w = x.shape
+    c, n, h, w = x.shape
     f, ck, kh, kw = kernel.shape
     if ck != c:
         raise ShapeMismatch(f"conv2d channels: input {c} vs kernel {ck}")
@@ -351,33 +446,20 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise ShapeMismatch(f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
     oh, ow = _conv_out_hw(h, w, kh, kw, stride, pad)
 
-    if pad > 0:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
-        xp[:, :, pad : pad + h, pad : pad + w] = x.data
-    else:
-        xp = x.data
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
-    wmat = kernel.data.reshape(f, c * kh * kw)
-    out = np.ascontiguousarray((wmat @ cols).reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
+    cols = _im2col(x.data, kh, kw, stride, pad, oh, ow)
+    out = (kernel.data.reshape(f, c * kh * kw) @ cols).reshape(f, n, oh, ow)
 
     # save the patch matrix only when the kernel gradient will be needed
     saved_cols = cols if kernel.requires_grad else None
 
     def backward(g: Array) -> list[Array | None]:
-        gmat = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, n * oh * ow)
+        gmat = g.reshape(f, n * oh * ow)
         gx = gw = None
         if kernel.requires_grad:
             gw = (gmat @ saved_cols.T).reshape(f, c, kh, kw)
         if x.requires_grad:
-            # per kernel tap, a (C,F) @ (F,N*oh*ow) product scattered back as one (C,N,oh,ow) slab
-            taps = np.ascontiguousarray(kernel.data.transpose(2, 3, 1, 0))
-            gxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=np.float32)
-            for i in range(kh):
-                for j in range(kw):
-                    slab = (taps[i, j] @ gmat).reshape(c, n, oh, ow)
-                    gxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += slab
-            gxp = gxp[:, :, pad : pad + h, pad : pad + w] if pad > 0 else gxp
-            gx = np.ascontiguousarray(gxp.transpose(1, 0, 2, 3))
+            taps = np.ascontiguousarray(kernel.data.transpose(2, 3, 1, 0))  # (kh,kw,C,F)
+            gx = _col2im(taps, gmat, x.shape, stride, pad, oh, ow)
         return [gx, gw]
 
     return _make(out, "conv2d", (x, kernel), backward)
@@ -396,7 +478,7 @@ def batchnorm2d(
     eps: float = 1e-5,
     mode: str = "eval",
 ) -> Tensor:
-    """Per-channel batch normalization over (N,C,H,W).
+    """Per-channel batch normalization over channel-major (C,N,H,W).
 
     eval mode normalizes with the running statistics and never writes
     them; train mode normalizes with batch statistics and updates the
@@ -406,8 +488,8 @@ def batchnorm2d(
     if eps <= 0:
         raise ShapeMismatch(f"batchnorm eps must be > 0, got {eps}")
     if x.data.ndim != 4:
-        raise ShapeMismatch(f"batchnorm2d expects (N,C,H,W), got {x.shape}")
-    c = x.shape[1]
+        raise ShapeMismatch(f"batchnorm2d expects (C,N,H,W), got {x.shape}")
+    c = x.shape[0]
     for t, label in ((gamma, "gamma"), (beta, "beta"), (running_mean, "running_mean"), (running_var, "running_var")):
         if t.shape != (c,):
             raise ShapeMismatch(f"batchnorm {label} shape {t.shape}, expected ({c},)")
@@ -416,12 +498,12 @@ def batchnorm2d(
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown batchnorm mode {mode!r}")
 
-    bc = (1, c, 1, 1)
+    bc = (c, 1, 1, 1)
+    axes = (1, 2, 3)
     if mode == "eval":
         mu = running_mean.data.reshape(bc)
         var = running_var.data.reshape(bc)
     else:
-        axes = (0, 2, 3)
         mu_c = x.data.mean(axis=axes, dtype=np.float64)
         var_c = x.data.var(axis=axes, dtype=np.float64)
         count = x.data.size // c
@@ -443,7 +525,6 @@ def batchnorm2d(
     out += beta.data.reshape(bc)
 
     def backward(g: Array) -> list[Array | None]:
-        axes = (0, 2, 3)
         ggamma = (g * xhat).sum(axis=axes).astype(np.float32) if gamma.requires_grad else None
         gbeta = g.sum(axis=axes).astype(np.float32) if beta.requires_grad else None
         gx = None
@@ -462,14 +543,15 @@ def batchnorm2d(
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """(N,C,H,W) -> (N,C) mean over the spatial dims."""
+    """(C,N,H,W) -> (N,C) mean over the spatial dims."""
     if x.data.ndim != 4:
-        raise ShapeMismatch(f"global_avg_pool expects (N,C,H,W), got {x.shape}")
-    n, c, h, w = x.shape
-    data = x.data.mean(axis=(2, 3), dtype=np.float32)
+        raise ShapeMismatch(f"global_avg_pool expects (C,N,H,W), got {x.shape}")
+    c, n, h, w = x.shape
+    data = np.ascontiguousarray(x.data.mean(axis=(2, 3), dtype=np.float32).T)
 
     def backward(g: Array) -> list[Array | None]:
-        gx = np.broadcast_to(g[:, :, None, None] / np.float32(h * w), x.shape).astype(np.float32)
+        # order="C": g.T is frame-major, and a gradient laid out like it would slow every op below
+        gx = np.broadcast_to(g.T[:, :, None, None] / np.float32(h * w), x.shape).astype(np.float32, order="C")
         return [gx]
 
     return _make(data, "global_avg_pool", (x,), backward)

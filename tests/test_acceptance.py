@@ -20,6 +20,8 @@ from tempt import reference
 from tempt import tensor as T
 from tempt.adapt import forward_all
 
+pytestmark = pytest.mark.acceptance
+
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 

@@ -48,8 +48,20 @@ def test_shipped_train_shift_holds_out_the_strongest_test_shifts():
         {"adapt": {"beta1": "x"}},
         {"adapt": {"steps": 2.5}},
         {"benchmark": {"master_seed": None}},
+        {"adapt": {"num_regions": 0}},
+        {"adapt": {"region_window": 1}},
     ],
-    ids=["unknown-method", "string-steps", "zero-epochs", "even-median-window", "string-beta1", "float-steps", "null-seed"],
+    ids=[
+        "unknown-method",
+        "string-steps",
+        "zero-epochs",
+        "even-median-window",
+        "string-beta1",
+        "float-steps",
+        "null-seed",
+        "zero-regions",
+        "one-frame-region-window",
+    ],
 )
 def test_invalid_config_rejected_at_load(tmp_path, doc):
     path = tmp_path / "bad.json"

@@ -112,8 +112,11 @@ def test_precomputed_stem_gives_identical_logits(tiny_params, rng):
     x = rng.uniform(-1, 1, size=(3, 3, 8, 8)).astype(np.float32)
     stem = model.stem_conv(tiny_params, x)
     assert model.forward(tiny_params, x, stem=stem).data.tobytes() == model.forward(tiny_params, x).data.tobytes()
+    assert stem.shape == (tiny_params["stem.conv.w"].array.shape[0], 3, 8, 8)  # (C0, N, H, W)
     with pytest.raises(ShapeMismatch):
-        model.forward(tiny_params, x, stem=stem[:2])
+        model.forward(tiny_params, x, stem=stem[:, :2])  # two of the batch's three frames
+    with pytest.raises(ShapeMismatch):
+        model.forward(tiny_params, x, stem=stem[:2])  # two of the stem's four channels
     with pytest.raises(ValueError, match="frozen stem kernel"):
         model.forward(tiny_params, x, leaves=tiny_params.leaves(), stem=stem)
 

@@ -182,14 +182,19 @@ def test_conv2d_identity_kernel(rng):
 
 
 def test_conv2d_zero_kernel(rng):
-    x = rng.uniform(-1, 1, size=(2, 3, 5, 5)).astype(np.float32)
+    x = rng.uniform(-1, 1, size=(3, 2, 5, 5)).astype(np.float32)
     k = np.zeros((4, 3, 3, 3), dtype=np.float32)
     out = T.conv2d(T.Tensor(x), T.Tensor(k), stride=1, pad=1)
     assert np.all(out.data == 0)
 
 
+def _swap_nc(x: np.ndarray) -> np.ndarray:
+    """(N,C,H,W) <-> (C,N,H,W): the oracles below are NCHW, conv2d is channel-major."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+
+
 def conv2d_direct(x: np.ndarray, kernel: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Loop-nest reference convolution; the oracle the fast path must match."""
+    """Loop-nest reference convolution over NCHW; the oracle the fast path must match."""
     n, c, h, w = x.shape
     f, _, kh, kw = kernel.shape
     oh = (h + 2 * pad - kh) // stride + 1
@@ -210,20 +215,85 @@ def conv2d_direct(x: np.ndarray, kernel: np.ndarray, stride: int = 1, pad: int =
     return out.astype(np.float32)
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0)])
-def test_conv2d_matches_direct_oracle(rng, stride, pad):
-    x = rng.uniform(-1, 1, size=(1, 2, 5, 5)).astype(np.float32)
-    k = rng.uniform(-1, 1, size=(3, 2, 3, 3)).astype(np.float32)
-    got = T.conv2d(T.Tensor(x), T.Tensor(k), stride=stride, pad=pad).data
+def conv2d_direct_adjoint(
+    g: np.ndarray, x: np.ndarray, kernel: np.ndarray, stride: int = 1, pad: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Loop-nest adjoint of ``conv2d_direct`` at output gradient ``g`` (NCHW): (dx, dkernel)."""
+    n, c, h, w = x.shape
+    f, _, kh, kw = kernel.shape
+    _, _, oh, ow = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))).astype(np.float64)
+    g64, k64 = g.astype(np.float64), kernel.astype(np.float64)
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(k64)
+    for ni in range(n):
+        for fi in range(f):
+            for oi in range(oh):
+                for oj in range(ow):
+                    for ci in range(c):
+                        for i in range(kh):
+                            for j in range(kw):
+                                r, q = oi * stride + i, oj * stride + j
+                                dxp[ni, ci, r, q] += g64[ni, fi, oi, oj] * k64[fi, ci, i, j]
+                                dk[fi, ci, i, j] += g64[ni, fi, oi, oj] * xp[ni, ci, r, q]
+    return dxp[:, :, pad : pad + h, pad : pad + w].astype(np.float32), dk.astype(np.float32)
+
+
+# (stride, pad, NCHW input shape, kernel shape): the four original cases keep
+# their ids; then the model's three conv kinds (3x3/s1/p1 stem and residual
+# convs, 3x3/s2/p1 downsampling, 1x1/s2/p0 projection) at batch 2, and
+# stride 3, pad 2, 2x2, 2x3 and 5x5 kernels, odd inputs and H != W. Inputs
+# of exactly stride x the output size run on stride phases (the model kinds,
+# "1-1" and the last four), the others on an explicitly padded input.
+CONV_CASES = [
+    pytest.param(1, 0, (1, 2, 5, 5), (3, 2, 3, 3), id="1-0"),
+    pytest.param(1, 1, (1, 2, 5, 5), (3, 2, 3, 3), id="1-1"),
+    pytest.param(2, 1, (1, 2, 5, 5), (3, 2, 3, 3), id="2-1"),
+    pytest.param(2, 0, (1, 2, 5, 5), (3, 2, 3, 3), id="2-0"),
+    pytest.param(1, 1, (2, 3, 8, 8), (4, 3, 3, 3), id="model-3x3-s1-p1"),
+    pytest.param(2, 1, (2, 4, 8, 8), (5, 4, 3, 3), id="model-3x3-s2-p1"),
+    pytest.param(2, 0, (2, 4, 8, 8), (5, 4, 1, 1), id="model-1x1-s2-p0"),
+    pytest.param(3, 2, (2, 2, 7, 5), (3, 2, 2, 2), id="2x2-s3-p2-7x5"),
+    pytest.param(3, 0, (1, 2, 9, 7), (2, 2, 3, 3), id="3x3-s3-p0-9x7"),
+    pytest.param(2, 1, (2, 1, 7, 6), (2, 1, 2, 3), id="2x3-s2-p1-7x6"),
+    pytest.param(2, 2, (1, 2, 5, 7), (3, 2, 2, 2), id="2x2-s2-p2-5x7"),
+    pytest.param(3, 1, (2, 2, 9, 6), (3, 2, 3, 3), id="3x3-s3-p1-9x6"),
+    pytest.param(2, 1, (2, 3, 8, 6), (2, 3, 3, 3), id="3x3-s2-p1-8x6"),
+    pytest.param(2, 0, (2, 2, 6, 4), (3, 2, 2, 2), id="2x2-s2-p0-6x4"),
+    pytest.param(2, 2, (1, 2, 2, 4), (3, 2, 5, 5), id="5x5-s2-p2-2x4"),
+]
+
+
+@pytest.mark.parametrize("stride,pad,x_shape,k_shape", CONV_CASES)
+def test_conv2d_matches_direct_oracle(rng, stride, pad, x_shape, k_shape):
+    x = rng.uniform(-1, 1, size=x_shape).astype(np.float32)
+    k = rng.uniform(-1, 1, size=k_shape).astype(np.float32)
+    got = _swap_nc(T.conv2d(T.Tensor(_swap_nc(x)), T.Tensor(k), stride=stride, pad=pad).data)
     want = conv2d_direct(x, k, stride=stride, pad=pad)
     assert got.shape == want.shape
     assert np.abs(got - want).max() < 1e-5
 
 
+@pytest.mark.parametrize("stride,pad,x_shape,k_shape", CONV_CASES)
+def test_conv2d_backward_matches_direct_adjoint(rng, stride, pad, x_shape, k_shape):
+    x = rng.uniform(-1, 1, size=x_shape).astype(np.float32)
+    k = rng.uniform(-1, 1, size=k_shape).astype(np.float32)
+    xt = T.Tensor(_swap_nc(x), requires_grad=True)
+    kt = T.Tensor(k, requires_grad=True)
+    out = T.conv2d(xt, kt, stride=stride, pad=pad)
+    g = rng.uniform(-1, 1, size=out.shape).astype(np.float32)  # channel-major, like out
+    grads = T.backward(T.tensor_sum(out * T.Tensor(g)))
+    want_dx, want_dk = conv2d_direct_adjoint(_swap_nc(g), x, k, stride=stride, pad=pad)
+    got_dx = _swap_nc(grads[xt].data)
+    assert got_dx.shape == want_dx.shape
+    assert np.abs(got_dx - want_dx).max() < 1e-5
+    assert np.abs(grads[kt].data - want_dk).max() < 1e-5
+
+
 def test_conv2d_output_shape():
     x = T.Tensor(np.zeros((1, 1, 7, 9), dtype=np.float32))
     k = T.Tensor(np.zeros((2, 1, 3, 3), dtype=np.float32))
-    assert T.conv2d(x, k, stride=2, pad=1).shape == (1, 2, 4, 5)
+    assert T.conv2d(x, k, stride=2, pad=1).shape == (2, 1, 4, 5)
 
 
 def test_conv2d_invalid_stride():
@@ -240,11 +310,22 @@ def test_conv2d_kernel_too_large():
         T.conv2d(x, k)
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1)])
-def test_conv2d_gradients(stride, pad):
+# (stride, pad, channel-major input shape, kernel shape); the first two keep their ids
+CONV_GRAD_CASES = [
+    pytest.param(1, 1, (2, 2, 5, 5), (3, 2, 3, 3), id="1-1"),
+    pytest.param(2, 1, (2, 2, 5, 5), (3, 2, 3, 3), id="2-1"),
+    pytest.param(2, 0, (3, 2, 6, 6), (2, 3, 1, 1), id="model-1x1-s2-p0"),
+    pytest.param(3, 2, (2, 2, 7, 5), (3, 2, 2, 2), id="2x2-s3-p2-7x5"),
+    pytest.param(2, 1, (1, 2, 7, 6), (2, 1, 2, 3), id="2x3-s2-p1-7x6"),
+    pytest.param(3, 1, (2, 2, 9, 6), (3, 2, 3, 3), id="3x3-s3-p1-9x6"),
+]
+
+
+@pytest.mark.parametrize("stride,pad,x_shape,k_shape", CONV_GRAD_CASES)
+def test_conv2d_gradients(stride, pad, x_shape, k_shape):
     fd_check(
         lambda x, k: T.conv2d(x, k, stride=stride, pad=pad),
-        [(2, 2, 5, 5), (3, 2, 3, 3)],
+        [x_shape, k_shape],
         seed=11,
     )
 
@@ -254,7 +335,7 @@ def test_conv2d_gradients(stride, pad):
 
 
 def _bn_args(rng, c=3, train=False):
-    x = rng.uniform(-1, 1, size=(2, c, 4, 4)).astype(np.float32)
+    x = rng.uniform(-1, 1, size=(c, 2, 4, 4)).astype(np.float32)  # channel-major
     gamma = rng.uniform(0.5, 1.5, size=c).astype(np.float32)
     beta = rng.uniform(-0.5, 0.5, size=c).astype(np.float32)
     mean = rng.uniform(-0.5, 0.5, size=c).astype(np.float32)
@@ -263,7 +344,7 @@ def _bn_args(rng, c=3, train=False):
 
 
 def test_batchnorm_identity():
-    x = np.random.default_rng(0).uniform(-1, 1, size=(1, 2, 3, 3)).astype(np.float32)
+    x = np.random.default_rng(0).uniform(-1, 1, size=(2, 1, 3, 3)).astype(np.float32)
     out = T.batchnorm2d(
         T.Tensor(x),
         T.Tensor(np.ones(2, dtype=np.float32)),
@@ -286,7 +367,7 @@ def test_batchnorm_gamma_zero_gives_beta(rng):
         T.Tensor(var),
         mode="eval",
     )
-    assert np.allclose(out.data, np.broadcast_to(beta[None, :, None, None], x.shape))
+    assert np.allclose(out.data, np.broadcast_to(beta[:, None, None, None], x.shape))
 
 
 def test_batchnorm_eval_matches_affine_oracle(rng):
@@ -294,9 +375,9 @@ def test_batchnorm_eval_matches_affine_oracle(rng):
     out = T.batchnorm2d(
         T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), T.Tensor(mean), T.Tensor(var), eps=1e-5, mode="eval"
     )
-    want = gamma[None, :, None, None] * (x - mean[None, :, None, None]) / np.sqrt(
-        var[None, :, None, None] + 1e-5
-    ) + beta[None, :, None, None]
+    want = gamma[:, None, None, None] * (x - mean[:, None, None, None]) / np.sqrt(
+        var[:, None, None, None] + 1e-5
+    ) + beta[:, None, None, None]
     assert np.abs(out.data - want).max() < 1e-6
 
 
@@ -315,7 +396,7 @@ def test_batchnorm_train_updates_stats(rng):
     x, gamma, beta, mean, var = _bn_args(rng)
     mean_t, var_t = T.Tensor(mean.copy()), T.Tensor(var.copy())
     T.batchnorm2d(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), mean_t, var_t, mode="train")
-    batch_mean = x.mean(axis=(0, 2, 3))
+    batch_mean = x.mean(axis=(1, 2, 3))
     assert np.allclose(mean_t.data, 0.9 * mean + 0.1 * batch_mean, atol=1e-5)
     assert not np.array_equal(var_t.data, var)
 
@@ -334,7 +415,7 @@ def test_batchnorm_gradients(rng, mode):
     def op(xt, gt, bt):
         return T.batchnorm2d(xt, gt, bt, T.Tensor(mean.copy()), T.Tensor(var.copy()), mode=mode)
 
-    fd_check(op, [(2, 3, 4, 4), (3,), (3,)], seed=13)
+    fd_check(op, [(3, 2, 4, 4), (3,), (3,)], seed=13)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +425,13 @@ def test_batchnorm_gradients(rng, mode):
 def test_global_avg_pool_constant():
     x = np.full((1, 1, 4, 4), 7.0, dtype=np.float32)
     assert np.array_equal(T.global_avg_pool(T.Tensor(x)).data, [[7.0]])
+
+
+def test_global_avg_pool_takes_channel_major_gives_frame_rows(rng):
+    x = rng.uniform(-1, 1, size=(3, 2, 4, 4)).astype(np.float32)
+    out = T.global_avg_pool(T.Tensor(x)).data
+    assert out.shape == (2, 3)
+    assert np.array_equal(out, x.mean(axis=(2, 3), dtype=np.float32).T)
 
 
 def test_global_avg_pool_backward_distributes():
