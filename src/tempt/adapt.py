@@ -176,7 +176,8 @@ def adapt_video(
         )
         batch_idx = _round_robin_cap(regions, config.batch_frames_cap)
         checksum = _checksum(target)
-        batch_stem = model.stem_conv(work, frames[batch_idx])
+        batch_frames = frames[batch_idx]
+        batch_stem = model.stem_conv(work, batch_frames)
     else:
         video_stem = model.stem_conv(work, frames)
 
@@ -186,9 +187,10 @@ def adapt_video(
             if config.method == "tent":
                 size = min(config.batch_frames_cap, t_frames)
                 batch_idx = np.sort(rng.choice(t_frames, size=size, replace=False))
+                batch_frames = frames[batch_idx]
                 batch_stem = video_stem[:, batch_idx]  # (C0, N, H, W): frames on axis 1
             leaves = work.leaves(trainable=subset)
-            z = model.forward(work, frames[batch_idx], mode="eval", leaves=leaves, stem=batch_stem)
+            z = model.forward(work, batch_frames, mode="eval", leaves=leaves, stem=batch_stem)
             if config.method == "tempt":
                 loss = losses.temporal_consistency_loss(z, target[batch_idx])
             else:

@@ -255,7 +255,7 @@ def forward(
         elif stem.shape != (leaves["stem.conv.w"].shape[0], x.shape[0]) + x.shape[2:]:
             raise ShapeMismatch(f"stem has shape {stem.shape}, expected (C0, N, H, W) for a {x.shape} batch")
         else:
-            out = T.Tensor(stem)
+            out = T.Tensor._unchecked(stem)  # a conv output of stem_conv, checked there
         out = T.relu(_bn(leaves, "stem.bn", out, mode))
         for si, (ch, blocks) in enumerate(spec.stages):
             for bi in range(blocks):

@@ -3,8 +3,10 @@
 The op set is exactly what the CNN forward pass and the losses need:
 elementwise arithmetic with trailing-dim broadcasting, matmul, transpose, conv2d,
 batchnorm2d, relu, global average pooling, exp/log/sqrt, reductions and
-row gathering. Every op checks its output for NaN/Inf and raises instead
-of propagating garbage.
+row gathering. Every array an op creates is checked for NaN/Inf once,
+where it is born, and the op raises instead of propagating garbage. An
+array that is finite whenever its checked input is (a relu's max with 0,
+a gradient handed through unchanged) is not scanned again.
 
 Activations are channel-major: conv2d, batchnorm2d and global_avg_pool
 take (C, N, H, W) maps, so a conv's (F, C*kh*kw) @ (C*kh*kw, N*H'*W')
@@ -16,10 +18,19 @@ Tensors are immutable values once created. A graph is recorded only when
 an input requires grad, so plain inference builds no tape. Each backward
 pass assembles its own topologically ordered tape from the loss node, so
 forwards over distinct inputs can run concurrently.
+
+Importing this module tunes glibc's allocator for the whole process (on
+other C libraries it does nothing): blocks up to 32 MiB come from the heap
+instead of fresh mmaps, and up to 256 MiB of freed heap stays mapped. Every
+step of an adaptation allocates the same im2col columns, tap products and
+gradients, so later steps reuse the pages of earlier ones instead of
+faulting in new zeroed ones; RSS stays near its peak. Results do not change.
 """
 
 from __future__ import annotations
 
+import ctypes
+import platform
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +47,23 @@ from .errors import (
 Array = np.ndarray
 
 BN_MOMENTUM = 0.1  # weight of the batch statistic in each running-stat update
+
+_M_TRIM_THRESHOLD = -1  # glibc <malloc.h> parameter numbers
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_pages() -> None:
+    """Serve large blocks from the heap and keep freed ones mapped (glibc only)."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    libc = ctypes.CDLL(None)
+    # setting either one stops glibc's dynamic mmap threshold, so both are set:
+    # the trim threshold alone leaves mmap at its low threshold and faults more
+    libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # glibc's maximum
+    libc.mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+_keep_freed_pages()
 
 
 def _ensure_finite(data: Array, op: str) -> None:
@@ -125,8 +153,10 @@ def _wrap(value) -> Tensor:
     return Tensor(value)
 
 
-def _make(data: Array, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    _ensure_finite(data, op)
+def _make(data: Array, op: str, parents: tuple[Tensor, ...], backward_fn, finite: bool = False) -> Tensor:
+    # finite=True: the op cannot make NaN/Inf from checked inputs, so the scan is skipped
+    if not finite:
+        _ensure_finite(data, op)
     if any(p.requires_grad for p in parents):
         return Tensor._unchecked(data, True, node=Node(op, parents, backward_fn))
     return Tensor._unchecked(data)
@@ -242,7 +272,7 @@ def relu(x: Tensor) -> Tensor:
     def backward(g: Array) -> list[Array | None]:
         return [g * _relu_mask(x.data)]
 
-    return _make(data, "relu", (x,), backward)
+    return _make(data, "relu", (x,), backward, finite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +638,17 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
         for p, pg in zip(t.node.parents, parent_grads):
             if pg is None or not p.requires_grad:
                 continue
-            _ensure_finite(pg, f"backward[{t.node.op}]")
+            # g itself was checked when it was formed; a gradient passed through is not scanned again
+            if pg is not g:
+                _ensure_finite(pg, f"backward[{t.node.op}]")
             key = id(p)
             if key in grads:
                 grads[key] = grads[key] + pg
+                _ensure_finite(grads[key], f"backward[{t.node.op}] accumulation")
             else:
                 grads[key] = pg
             if p.node is None:
-                leaf_grads[p] = Tensor(grads[key])
+                leaf_grads[p] = Tensor._unchecked(grads[key])
     return leaf_grads
 
 

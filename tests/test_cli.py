@@ -269,6 +269,15 @@ def test_gradcheck_ce_passes(capsys):
     assert doc["max_rel_err"] < 1e-3
 
 
+def test_gradcheck_entropy_passes_on_trained_weights(capsys, workdir, trained_weights):
+    # with these weights a plain central difference's O(h^2) truncation error alone read 1.30e-3
+    argv = ["gradcheck", "--loss", "entropy", "--weights", str(trained_weights), "--config", str(workdir / "config.json")]
+    code, out = run_cli(capsys, argv)
+    doc = json.loads(out)
+    assert code == 0, doc
+    assert doc["max_rel_err"] < 1e-3
+
+
 def test_gradcheck_broken_backward_exits_5(capsys, monkeypatch):
     monkeypatch.setattr(T, "_relu_mask", lambda x: x > 0.1)  # wrong subgradient
     code, out = run_cli(capsys, ["gradcheck", "--loss", "ce", "--seed", "0"])

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import platform
+import resource
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempt import adapt, model
 from tempt import tensor as T
 from tempt.errors import (
     InvalidStride,
@@ -493,6 +497,14 @@ def test_diamond_grad_accumulation():
     assert np.allclose(T.backward(loss)[x].data, [7.0])
 
 
+def test_overflowing_gradient_sum_raises_at_accumulation():
+    # each path hands x a finite 3e38; their float32 sum overflows
+    x = T.Tensor([0.0], requires_grad=True)
+    big = T.Tensor([3e38])
+    with pytest.raises(NonFiniteValue, match="accumulation"):
+        T.backward(T.tensor_sum(x * big + x * big))
+
+
 def test_take_rows_gather_scatter():
     x = T.Tensor(np.arange(12, dtype=np.float32).reshape(4, 3), requires_grad=True)
     out = T.take_rows(x, [0, 2, 2])
@@ -506,3 +518,22 @@ def test_take_rows_gather_scatter():
 
 def test_sum_axis_keepdims(rng):
     fd_check(lambda x: T.tensor_sum(x, axis=1, keepdims=True), [(3, 5)], seed=21)
+
+
+# ---------------------------------------------------------------------------
+# allocator
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator setting is glibc-only")
+def test_repeated_adaptation_faults_in_no_fresh_pages():
+    # every call allocates the same temporaries; with freed blocks kept in the
+    # heap, calls after the first reuse its pages (about 28k faults per call without)
+    params = model.build_model(model.ModelSpec(), 0)
+    frames = np.random.Generator(np.random.PCG64(3)).uniform(-1, 1, size=(160, 3, 32, 32)).astype(np.float32)
+    config = adapt.AdaptConfig(steps=3, batch_frames_cap=64, region_window=16)
+    faults = []
+    for _ in range(4):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        adapt.adapt_video(params, frames, config)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert max(faults[1:]) < 500, faults
