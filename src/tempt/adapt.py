@@ -47,6 +47,13 @@ class AdaptConfig:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.median_window < 1 or self.median_window % 2 == 0:
             raise ValueError(f"median_window must be odd and >= 1, got {self.median_window}")
         if self.region_window < 2:

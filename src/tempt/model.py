@@ -9,6 +9,17 @@ logit to [-scale, +scale].
 Callers pass (N, 3, H, W) frames; the layers run on channel-major
 (C, N, H, W) maps (see ``tensor``), and the frames are turned into one at
 the stem.
+
+``forward`` has two routes. With graph leaves, or in train mode, it runs
+the tape's ops. An eval forward without leaves (``adapt.forward_all``:
+inference and the before/after logit series of an adaptation) runs
+tape-free: it owns its buffers and applies batch norm, relu and the
+residual add in place on each conv's own output, in the same float32 ops
+and order. Its trunk (stem through pooled features) runs on TRUNK_SLICE
+frames at a time, which keeps the patch matrices small and gives the same
+bytes under any slicing; its head runs once over the whole batch, because
+BLAS rounds the head's small matmuls differently by row count. Both routes
+give identical logits and check each new array for non-finite values once.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from .errors import (
     CorruptTensorFile,
     CorruptWeights,
     InvalidSpec,
+    NegativeVariance,
     NonFiniteActivation,
     NonFiniteValue,
     NormalizationDegenerate,
@@ -58,6 +70,8 @@ class ModelSpec:
     def validate(self) -> None:
         if self.num_classes < 2:
             raise InvalidSpec(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.in_channels < 1:
+            raise InvalidSpec(f"in_channels must be >= 1, got {self.in_channels}")
         if not self.stages:
             raise InvalidSpec("at least one stage required")
         for ch, blocks in self.stages:
@@ -237,34 +251,121 @@ def forward(
     """Per-frame logits (N, k) for an (N, 3, H, W) batch.
 
     ``leaves`` lets a caller pass pre-built graph leaves (to control
-    which parameters require grad); without it the forward runs
-    untracked. ``stem`` is ``stem_conv(params, batch)`` computed earlier;
-    it replaces the stem convolution and needs a frozen stem kernel.
+    which parameters require grad); without it an eval forward takes the
+    tape-free route. ``stem`` is ``stem_conv(params, batch)`` computed
+    earlier; it replaces the stem convolution and needs a frozen stem
+    kernel.
     """
     spec = params.spec
     x = T.Tensor(batch)
     _check_frames(spec, x)
-    if leaves is None:
-        leaves = params.leaves(trainable=set())
+    if stem is not None and stem.shape != (params["stem.conv.w"].array.shape[0], x.shape[0]) + x.shape[2:]:
+        raise ShapeMismatch(f"stem has shape {stem.shape}, expected (C0, N, H, W) for a {x.shape} batch")
 
     try:
+        if leaves is None and mode == "eval":
+            return _forward_untracked(params, x.data, stem)
+        if leaves is None:
+            leaves = params.leaves(trainable=set())
         if stem is None:
             out = T.conv2d(_channel_major(x), leaves["stem.conv.w"], stride=1, pad=1)
         elif leaves["stem.conv.w"].requires_grad:
             raise ValueError("a precomputed stem needs a frozen stem kernel")
-        elif stem.shape != (leaves["stem.conv.w"].shape[0], x.shape[0]) + x.shape[2:]:
-            raise ShapeMismatch(f"stem has shape {stem.shape}, expected (C0, N, H, W) for a {x.shape} batch")
         else:
             out = T.Tensor._unchecked(stem)  # a conv output of stem_conv, checked there
         out = T.relu(_bn(leaves, "stem.bn", out, mode))
         for si, (ch, blocks) in enumerate(spec.stages):
             for bi in range(blocks):
                 out = _block_forward(leaves, f"stage{si}.block{bi}", out, downsample=bi == 0, mode=mode)
-        feat = T.global_avg_pool(out)
-        hidden = T.relu(T.matmul(feat, T.transpose(leaves["head.fc1.w"])) + leaves["head.fc1.b"])
-        return _cosine_head(hidden, leaves["head.out.w"], spec.head_scale)
+        return _head(spec, leaves, T.global_avg_pool(out))
     except NonFiniteValue as exc:
         raise NonFiniteActivation(str(exc)) from exc
+
+
+def _head(spec: ModelSpec, leaves, feat: T.Tensor) -> T.Tensor:
+    hidden = T.relu(T.matmul(feat, T.transpose(leaves["head.fc1.w"])) + leaves["head.fc1.b"])
+    return _cosine_head(hidden, leaves["head.out.w"], spec.head_scale)
+
+
+# ---------------------------------------------------------------------------
+# tape-free eval forward
+
+TRUNK_SLICE = 32  # frames per trunk pass of the untracked forward
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises at its check, unwarned
+def _forward_untracked(params: ModelParams, frames: np.ndarray, stem: np.ndarray | None) -> T.Tensor:
+    """Eval-mode logits without a tape (see the module docstring); frames, stem and parameters are only read."""
+    spec = params.spec
+    prefixes = [n.removesuffix(".running_var") for n in params.names_in_group(GROUP_BN_STATS) if n.endswith(".running_var")]
+    bn = {prefix: _bn_constants(params, prefix) for prefix in prefixes}
+    feat = np.empty((frames.shape[0], spec.stages[-1][0]), dtype=np.float32)
+    for lo in range(0, frames.shape[0], TRUNK_SLICE):
+        part = slice(lo, lo + TRUNK_SLICE)
+        if stem is None:
+            out = _conv(frames[part].transpose(1, 0, 2, 3), params["stem.conv.w"].array, 1, 1)
+            _bn_eval(out, bn["stem.bn"], out)
+        else:
+            out = _bn_eval(stem[:, part], bn["stem.bn"])  # a new array: the caller's stem is only read
+        np.maximum(out, 0.0, out=out)
+        for si, (ch, blocks) in enumerate(spec.stages):
+            for bi in range(blocks):
+                out = _block_untracked(params, bn, f"stage{si}.block{bi}", out, downsample=bi == 0)
+        pooled = out.mean(axis=(2, 3), dtype=np.float32)
+        T._ensure_finite(pooled, "global_avg_pool")
+        feat[part] = pooled.T
+    head = {name: T.Tensor._unchecked(params[name].array) for name in ("head.fc1.w", "head.fc1.b", "head.out.w")}
+    return _head(spec, head, T.Tensor._unchecked(feat))
+
+
+def _bn_constants(params: ModelParams, prefix: str) -> tuple[np.ndarray, ...]:
+    """(mean, 1/std, gamma, beta) of one eval batch-norm layer, each shaped (C, 1, 1, 1)."""
+    var = params[f"{prefix}.running_var"].array
+    if float(var.min()) < 0:
+        raise NegativeVariance("running_var has a negative entry")
+    bc = (var.shape[0], 1, 1, 1)
+    inv_std = 1.0 / np.sqrt(var.reshape(bc) + np.float32(BN_EPS))
+    return (
+        params[f"{prefix}.running_mean"].array.reshape(bc),
+        inv_std,
+        params[f"{prefix}.gamma"].array.reshape(bc),
+        params[f"{prefix}.beta"].array.reshape(bc),
+    )
+
+
+def _conv(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> np.ndarray:
+    out = T.conv_forward(x, kernel, stride, pad)[0]
+    T._ensure_finite(out, "conv2d")
+    return out
+
+
+def _bn_eval(x: np.ndarray, constants: tuple[np.ndarray, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """gamma * ((x - mean) * inv_std) + beta, into ``out`` (``x`` itself to work in place)."""
+    mu, inv_std, gamma, beta = constants
+    y = np.subtract(x, mu, out=out)
+    y *= inv_std
+    y *= gamma
+    y += beta
+    T._ensure_finite(y, "batchnorm2d")
+    return y
+
+
+def _block_untracked(params: ModelParams, bn, prefix: str, x: np.ndarray, downsample: bool) -> np.ndarray:
+    stride = 2 if downsample else 1
+    out = _conv(x, params[f"{prefix}.conv1.w"].array, stride, 1)
+    _bn_eval(out, bn[f"{prefix}.bn1"], out)
+    np.maximum(out, 0.0, out=out)
+    out = _conv(out, params[f"{prefix}.conv2.w"].array, 1, 1)
+    _bn_eval(out, bn[f"{prefix}.bn2"], out)
+    if downsample:
+        skip = _conv(x, params[f"{prefix}.proj.w"].array, stride, 0)
+        _bn_eval(skip, bn[f"{prefix}.proj_bn"], skip)
+    else:
+        skip = x
+    out += skip
+    T._ensure_finite(out, "add")
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 def _cosine_head(x: T.Tensor, w: T.Tensor, scale: float) -> T.Tensor:

@@ -182,14 +182,15 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 def tensor_binop(a: Tensor, b: Tensor, kind: str) -> Tensor:
     """Broadcasting elementwise add / sub / mul."""
     try:
-        if kind == "add":
-            data = a.data + b.data
-        elif kind == "sub":
-            data = a.data - b.data
-        elif kind == "mul":
-            data = a.data * b.data
-        else:
-            raise ValueError(f"unknown binop kind {kind!r}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below, without a warning
+            if kind == "add":
+                data = a.data + b.data
+            elif kind == "sub":
+                data = a.data - b.data
+            elif kind == "mul":
+                data = a.data * b.data
+            else:
+                raise ValueError(f"unknown binop kind {kind!r}")
     except ValueError as exc:
         if "broadcast" in str(exc):
             raise ShapeMismatch(f"{kind}: shapes {a.shape} and {b.shape}") from None
@@ -458,6 +459,19 @@ def _col2im(taps: Array, gmat: Array, shape: tuple[int, ...], stride: int, pad: 
     return gx
 
 
+def conv_forward(x: Array, kernel: Array, stride: int, pad: int) -> tuple[Array, Array]:
+    """The (F,N,H',W') output of a (C,N,H,W) map under a (F,C,kh,kw) kernel, and its patch matrix.
+
+    Unchecked and untracked: ``conv2d`` validates the shapes, and the model's
+    tape-free forward relies on its spec.
+    """
+    c, n, h, w = x.shape
+    f, _, kh, kw = kernel.shape
+    oh, ow = _conv_out_hw(h, w, kh, kw, stride, pad)
+    cols = _im2col(x, kh, kw, stride, pad, oh, ow)
+    return (kernel.reshape(f, c * kh * kw) @ cols).reshape(f, n, oh, ow), cols
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation with zero padding, channel-major.
 
@@ -474,10 +488,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise ShapeMismatch(f"conv2d channels: input {c} vs kernel {ck}")
     if kh > h + 2 * pad or kw > w + 2 * pad:
         raise ShapeMismatch(f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
-    oh, ow = _conv_out_hw(h, w, kh, kw, stride, pad)
-
-    cols = _im2col(x.data, kh, kw, stride, pad, oh, ow)
-    out = (kernel.data.reshape(f, c * kh * kw) @ cols).reshape(f, n, oh, ow)
+    out, cols = conv_forward(x.data, kernel.data, stride, pad)
+    oh, ow = out.shape[2:]
 
     # save the patch matrix only when the kernel gradient will be needed
     saved_cols = cols if kernel.requires_grad else None
@@ -611,6 +623,7 @@ def tape_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing gradient or sum raises NonFiniteValue, unwarned
 def backward(loss: Tensor) -> dict[Tensor, Tensor]:
     """Run reverse-mode accumulation from a finite scalar loss.
 

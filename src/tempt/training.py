@@ -33,6 +33,14 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.lr < 0:  # lr 0 is allowed: the weights stay, only the batch-norm statistics move
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if self.lr_step_epochs < 1:
+            raise ValueError(f"lr_step_epochs must be >= 1, got {self.lr_step_epochs}")
+        if self.lr_gamma <= 0:
+            raise ValueError(f"lr_gamma must be > 0, got {self.lr_gamma}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.margin_scale < 0:
             raise ValueError("margin_scale must be >= 0")
 

@@ -50,6 +50,15 @@ def test_shipped_train_shift_holds_out_the_strongest_test_shifts():
         {"benchmark": {"master_seed": None}},
         {"adapt": {"num_regions": 0}},
         {"adapt": {"region_window": 1}},
+        {"train": {"lr": -1}},
+        {"train": {"lr_step_epochs": 0}},
+        {"train": {"lr_gamma": 0}},
+        {"train": {"weight_decay": -1e-4}},
+        {"adapt": {"beta1": 1.0}},
+        {"adapt": {"beta2": -0.1}},
+        {"adapt": {"eps": 0}},
+        {"adapt": {"weight_decay": -0.01}},
+        {"model": {"in_channels": 0}},
     ],
     ids=[
         "unknown-method",
@@ -61,6 +70,15 @@ def test_shipped_train_shift_holds_out_the_strongest_test_shifts():
         "null-seed",
         "zero-regions",
         "one-frame-region-window",
+        "negative-train-lr",
+        "zero-lr-step-epochs",
+        "zero-lr-gamma",
+        "negative-train-weight-decay",
+        "beta1-one",
+        "negative-beta2",
+        "zero-adapt-eps",
+        "negative-adapt-weight-decay",
+        "zero-in-channels",
     ],
 )
 def test_invalid_config_rejected_at_load(tmp_path, doc):

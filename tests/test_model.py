@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tempt import model, reference
+from tempt import adapt, model, reference
 from tempt import tensor as T
 from tempt.errors import (
     ArchMismatch,
     CorruptWeights,
     InvalidSpec,
+    NegativeVariance,
+    NonFiniteActivation,
     NormalizationDegenerate,
     ShapeMismatch,
     VersionMismatch,
@@ -119,6 +121,57 @@ def test_precomputed_stem_gives_identical_logits(tiny_params, rng):
         model.forward(tiny_params, x, stem=stem[:2])  # two of the stem's four channels
     with pytest.raises(ValueError, match="frozen stem kernel"):
         model.forward(tiny_params, x, leaves=tiny_params.leaves(), stem=stem)
+
+
+def _spread_bn(params: model.ModelParams, seed: int) -> model.ModelParams:
+    """A copy whose batch-norm statistics and affines are far from identity, as after training."""
+    out = params.copy()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for name in out.names():
+        a = out[name].array
+        if name.endswith((".running_mean", ".beta")):
+            a[...] = rng.normal(0.0, 0.3, a.shape)
+        elif name.endswith((".running_var", ".gamma")):
+            a[...] = rng.uniform(0.5, 2.0, a.shape)
+    return out
+
+
+@pytest.mark.parametrize("spec_name", ["default", "tiny"])
+def test_untracked_forward_equals_tape_forward(spec_name, tiny_spec):
+    """The tape-free eval route gives the tape route's bytes at any batch size, slices and tail included."""
+    spec = model.ModelSpec() if spec_name == "default" else tiny_spec
+    params = _spread_bn(model.build_model(spec, seed=3), seed=4)
+    rng = np.random.Generator(np.random.PCG64(5))
+    frames = rng.uniform(-1, 1, size=(384, spec.in_channels, spec.input_hw, spec.input_hw)).astype(np.float32)
+    for n in (1, 16, 24, 70, 128, 384):
+        untracked = model.forward(params, frames[:n]).data
+        tape = model.forward(params, frames[:n], leaves=params.leaves(trainable=set())).data
+        assert untracked.tobytes() == tape.tobytes(), f"batch {n}"
+        stem = model.stem_conv(params, frames[:n])
+        assert model.forward(params, frames[:n], stem=stem).data.tobytes() == tape.tobytes(), f"batch {n}, stem"
+
+
+def test_untracked_forward_writes_no_caller_data(tiny_params, rng):
+    params = _spread_bn(tiny_params, seed=6)
+    frames = rng.uniform(-1, 1, size=(70, 3, 8, 8)).astype(np.float32)
+    stem = model.stem_conv(params, frames)
+    before = [frames.tobytes(), stem.tobytes()] + [params[n].array.tobytes() for n in params.names()]
+    adapt.forward_all(params, frames, chunk=48)
+    model.forward(params, frames, stem=stem)
+    after = [frames.tobytes(), stem.tobytes()] + [params[n].array.tobytes() for n in params.names()]
+    assert before == after
+
+
+def test_untracked_forward_raises_typed_errors(tiny_params, rng):
+    frames = rng.uniform(-1, 1, size=(40, 3, 8, 8)).astype(np.float32)
+    params = tiny_params.copy()
+    params["stem.conv.w"].array[0, 0, 1, 1] = np.inf
+    with pytest.raises(NonFiniteActivation, match="conv2d"):
+        model.forward(params, frames)
+    params = tiny_params.copy()
+    params["stage1.block0.bn2.running_var"].array[0] = -1.0
+    with pytest.raises(NegativeVariance):
+        model.forward(params, frames)
 
 
 def test_forward_rejects_wrong_hw(tiny_params, rng):
