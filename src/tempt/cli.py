@@ -45,9 +45,20 @@ def _resolve_seed(explicit: int | None, config_seed: int) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("TEMPT_SEED")
-    if env is not None:
+    if env is None:
+        return config_seed
+    try:
         return int(env)
-    return config_seed
+    except ValueError:
+        raise ConfigError(f"TEMPT_SEED must be an integer, got {env!r}") from None
+
+
+def _output_file(path: str) -> Path:
+    """``path`` as a file to write at the end of a run, checked before the run starts."""
+    out = Path(path)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"cannot write {out}: it is a directory or its directory does not exist")
+    return out
 
 
 def _load_weights(path: str, spec: ModelSpec) -> ModelParams:
@@ -65,15 +76,15 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = _resolve_seed(args.seed, cfg.train.seed)
     cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, seed=seed))
+    out_path = _output_file(args.out)
+    log_path = _output_file(args.log or out_path.with_suffix(".log.jsonl"))
     log.info("generating %d training videos", cfg.benchmark.train_videos)
     videos = make_split(cfg.benchmark, "train", cfg.model.input_hw)
     dataset = FrameDataset.from_videos(videos)
     log.info("training on %d frames", len(dataset))
     result = train(cfg.model, dataset, cfg.train)
 
-    out_path = Path(args.out)
     out_path.write_bytes(save_weights(result.params))
-    log_path = Path(args.log) if args.log else out_path.with_suffix(".log.jsonl")
     with open(log_path, "w") as fh:
         for entry in result.epoch_log:
             fh.write(json.dumps(entry) + "\n")
@@ -89,7 +100,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _write_trace(path: str, report) -> None:
+def _write_trace(path: Path, report) -> None:
     k = report.logits_before.shape[1]
     cols = (
         ["frame_id"]
@@ -106,7 +117,7 @@ def _write_trace(path: str, report) -> None:
         row += [f"{v:.6f}" for v in report.logits_after[t]]
         row += [str(int(pb[t])), str(int(pa[t]))]
         lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_adapt(args) -> int:
@@ -115,13 +126,14 @@ def cmd_adapt(args) -> int:
     adapt_cfg = dataclasses.replace(cfg.adapt, seed=seed)
     if args.method:
         adapt_cfg = dataclasses.replace(adapt_cfg, method=args.method)
+    trace_path = _output_file(args.trace) if args.trace else None
 
     params = _load_weights(args.weights, cfg.model)
     video = load_video(args.video)
 
     adapted, report = adapt_video(params, video.frames, adapt_cfg, labels=video.labels)
-    if args.trace:
-        _write_trace(args.trace, report)
+    if trace_path:
+        _write_trace(trace_path, report)
     doc = report.to_json_dict()
     doc["command"] = "adapt"
     doc["run_config"] = resolved_dict(cfg)
@@ -161,6 +173,11 @@ def cmd_benchmark(args) -> int:
     seed = _resolve_seed(args.seed, cfg.benchmark.master_seed)
     cfg = dataclasses.replace(cfg, benchmark=dataclasses.replace(cfg.benchmark, master_seed=seed))
     params = _load_weights(args.weights, cfg.model)
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out_dir}: {exc}") from None
     videos = make_split(cfg.benchmark, "test", cfg.model.input_hw)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     log.info("benchmark: %d videos x %d repeats, jobs=%d", len(videos), cfg.benchmark.repeats, jobs)
@@ -173,8 +190,6 @@ def cmd_benchmark(args) -> int:
         master_seed=cfg.benchmark.master_seed,
         model_name=_model_name(cfg),
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "command": "benchmark",
         "config": resolved_dict(cfg),

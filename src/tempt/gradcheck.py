@@ -16,6 +16,10 @@ from .reference import GradcheckResult
 
 LOSS_KINDS = ("ce", "ldam", "entropy", "tempt")
 
+TOLERANCE = 1e-3  # max relative error per parameter group
+STEP = 1e-3  # finite-difference step
+MAX_PROBES_PER_TENSOR = 256
+
 TINY_SPEC = model.ModelSpec(input_hw=8, stages=((4, 1), (8, 1)), num_classes=8, head_hidden=8, head_scale=16.0)
 
 
@@ -23,14 +27,7 @@ def _arrays(params: model.ModelParams) -> dict[str, np.ndarray]:
     return {name: params[name].array for name in params.names()}
 
 
-def run_gradcheck(
-    loss_kind: str,
-    seed: int = 0,
-    params: model.ModelParams | None = None,
-    tolerance: float = 1e-3,
-    step: float = 1e-3,
-    max_probes_per_tensor: int = 256,
-) -> GradcheckResult:
+def run_gradcheck(loss_kind: str, seed: int = 0, params: model.ModelParams | None = None) -> GradcheckResult:
     """Compare analytic and numeric gradients for one loss on the tiny model.
 
     ce/ldam/entropy check every trainable group; the temporal-consistency
@@ -79,11 +76,11 @@ def run_gradcheck(
         numeric_loss,
         _arrays(params),
         names,
-        step=step,
-        max_probes_per_tensor=max_probes_per_tensor,
+        step=STEP,
+        max_probes_per_tensor=MAX_PROBES_PER_TENSOR,
         seed=seed,
     )
     groups = {name: params[name].group for name in names}
     return reference.compare_grads(
-        analytic, numeric, groups, tolerance, loss_name=loss_kind, masked_fraction=masked_fraction
+        analytic, numeric, groups, TOLERANCE, loss_name=loss_kind, masked_fraction=masked_fraction
     )

@@ -10,9 +10,11 @@ Callers pass (N, 3, H, W) frames; the layers run on channel-major
 (C, N, H, W) maps (see ``tensor``), and the frames are turned into one at
 the stem.
 
-``forward`` has two routes. With graph leaves, or in train mode, it runs
-the tape's ops. An eval forward without leaves (``adapt.forward_all``:
-inference and the before/after logit series of an adaptation) runs
+``forward`` has two routes over one description of the network
+(``_trunk``: stem batch norm, then the residual blocks). With graph leaves
+it runs the tape's ops, in either mode; training and adaptation take this
+route. Without leaves (``adapt.forward_all``: inference and the
+before/after logit series of an adaptation) it runs in eval mode only,
 tape-free: it owns its buffers and applies batch norm, relu and the
 residual add in place on each conv's own output, in the same float32 ops
 and order. Its trunk (stem through pooled features) runs on TRUNK_SLICE
@@ -191,30 +193,23 @@ def build_model(spec: ModelSpec, seed: int) -> ModelParams:
     return params
 
 
-def _bn(leaves, prefix: str, x: T.Tensor, mode: str) -> T.Tensor:
-    return T.batchnorm2d(
-        x,
-        leaves[f"{prefix}.gamma"],
-        leaves[f"{prefix}.beta"],
-        leaves[f"{prefix}.running_mean"],
-        leaves[f"{prefix}.running_var"],
-        eps=BN_EPS,
-        mode=mode,
-    )
+def _trunk(spec: ModelSpec, x, conv, bn, relu, add):
+    """The network from the stem batch norm to the last block, in the ops of one route.
 
-
-def _block_forward(leaves, prefix: str, x: T.Tensor, downsample: bool, mode: str) -> T.Tensor:
-    stride = 2 if downsample else 1
-    out = T.conv2d(x, leaves[f"{prefix}.conv1.w"], stride=stride, pad=1)
-    out = T.relu(_bn(leaves, f"{prefix}.bn1", out, mode))
-    out = T.conv2d(out, leaves[f"{prefix}.conv2.w"], stride=1, pad=1)
-    out = _bn(leaves, f"{prefix}.bn2", out, mode)
-    if downsample:
-        skip = T.conv2d(x, leaves[f"{prefix}.proj.w"], stride=stride, pad=0)
-        skip = _bn(leaves, f"{prefix}.proj_bn", skip, mode)
-    else:
-        skip = x
-    return T.relu(out + skip)
+    ``conv(x, kernel name, stride, pad)``, ``bn(x, layer prefix)``,
+    ``relu(x)`` and ``add(a, b)`` are the tape's ops or the tape-free
+    route's in-place ones; ``x`` is the stem conv's output.
+    """
+    x = relu(bn(x, "stem.bn"))
+    for si, (ch, blocks) in enumerate(spec.stages):
+        for bi in range(blocks):
+            p = f"stage{si}.block{bi}"
+            stride = 2 if bi == 0 else 1  # the first block of a stage downsamples
+            out = relu(bn(conv(x, f"{p}.conv1.w", stride, 1), f"{p}.bn1"))
+            out = bn(conv(out, f"{p}.conv2.w", 1, 1), f"{p}.bn2")
+            skip = bn(conv(x, f"{p}.proj.w", stride, 0), f"{p}.proj_bn") if bi == 0 else x
+            x = relu(add(out, skip))
+    return x
 
 
 def _check_frames(spec: ModelSpec, x: T.Tensor) -> None:
@@ -250,33 +245,42 @@ def forward(
 ) -> T.Tensor:
     """Per-frame logits (N, k) for an (N, 3, H, W) batch.
 
-    ``leaves`` lets a caller pass pre-built graph leaves (to control
-    which parameters require grad); without it an eval forward takes the
-    tape-free route. ``stem`` is ``stem_conv(params, batch)`` computed
-    earlier; it replaces the stem convolution and needs a frozen stem
-    kernel.
+    Without ``leaves`` this is the tape-free eval forward, and ``mode``
+    must be "eval" and ``stem`` None. ``leaves`` are pre-built graph
+    leaves (they control which parameters require grad) for a tape
+    forward in either mode. ``stem`` is ``stem_conv(params, batch)``
+    computed earlier; it replaces the stem convolution and needs a frozen
+    stem kernel.
     """
     spec = params.spec
     x = T.Tensor(batch)
     _check_frames(spec, x)
+    if leaves is None and (mode != "eval" or stem is not None):
+        raise ValueError("a forward without leaves is the eval forward of the frames alone; pass leaves")
     if stem is not None and stem.shape != (params["stem.conv.w"].array.shape[0], x.shape[0]) + x.shape[2:]:
         raise ShapeMismatch(f"stem has shape {stem.shape}, expected (C0, N, H, W) for a {x.shape} batch")
 
     try:
-        if leaves is None and mode == "eval":
-            return _forward_untracked(params, x.data, stem)
         if leaves is None:
-            leaves = params.leaves(trainable=set())
+            return _forward_untracked(params, x.data)
         if stem is None:
             out = T.conv2d(_channel_major(x), leaves["stem.conv.w"], stride=1, pad=1)
         elif leaves["stem.conv.w"].requires_grad:
             raise ValueError("a precomputed stem needs a frozen stem kernel")
         else:
             out = T.Tensor._unchecked(stem)  # a conv output of stem_conv, checked there
-        out = T.relu(_bn(leaves, "stem.bn", out, mode))
-        for si, (ch, blocks) in enumerate(spec.stages):
-            for bi in range(blocks):
-                out = _block_forward(leaves, f"stage{si}.block{bi}", out, downsample=bi == 0, mode=mode)
+        out = _trunk(
+            spec,
+            out,
+            conv=lambda t, name, stride, pad: T.conv2d(t, leaves[name], stride=stride, pad=pad),
+            bn=lambda t, prefix: T.batchnorm2d(
+                t, *(leaves[f"{prefix}.{part}"] for part in ("gamma", "beta", "running_mean", "running_var")),
+                eps=BN_EPS,
+                mode=mode,
+            ),
+            relu=T.relu,
+            add=lambda a, b: a + b,
+        )
         return _head(spec, leaves, T.global_avg_pool(out))
     except NonFiniteValue as exc:
         raise NonFiniteActivation(str(exc)) from exc
@@ -294,23 +298,22 @@ TRUNK_SLICE = 32  # frames per trunk pass of the untracked forward
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises at its check, unwarned
-def _forward_untracked(params: ModelParams, frames: np.ndarray, stem: np.ndarray | None) -> T.Tensor:
-    """Eval-mode logits without a tape (see the module docstring); frames, stem and parameters are only read."""
+def _forward_untracked(params: ModelParams, frames: np.ndarray) -> T.Tensor:
+    """Eval-mode logits without a tape (see the module docstring); frames and parameters are only read."""
     spec = params.spec
     prefixes = [n.removesuffix(".running_var") for n in params.names_in_group(GROUP_BN_STATS) if n.endswith(".running_var")]
     bn = {prefix: _bn_constants(params, prefix) for prefix in prefixes}
     feat = np.empty((frames.shape[0], spec.stages[-1][0]), dtype=np.float32)
     for lo in range(0, frames.shape[0], TRUNK_SLICE):
         part = slice(lo, lo + TRUNK_SLICE)
-        if stem is None:
-            out = _conv(frames[part].transpose(1, 0, 2, 3), params["stem.conv.w"].array, 1, 1)
-            _bn_eval(out, bn["stem.bn"], out)
-        else:
-            out = _bn_eval(stem[:, part], bn["stem.bn"])  # a new array: the caller's stem is only read
-        np.maximum(out, 0.0, out=out)
-        for si, (ch, blocks) in enumerate(spec.stages):
-            for bi in range(blocks):
-                out = _block_untracked(params, bn, f"stage{si}.block{bi}", out, downsample=bi == 0)
+        out = _trunk(
+            spec,
+            _conv(frames[part].transpose(1, 0, 2, 3), params["stem.conv.w"].array, 1, 1),
+            conv=lambda x, name, stride, pad: _conv(x, params[name].array, stride, pad),
+            bn=lambda x, prefix: _bn_eval(x, bn[prefix]),
+            relu=lambda x: np.maximum(x, 0.0, out=x),
+            add=_add_inplace,
+        )
         pooled = out.mean(axis=(2, 3), dtype=np.float32)
         T._ensure_finite(pooled, "global_avg_pool")
         feat[part] = pooled.T
@@ -339,32 +342,20 @@ def _conv(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> np.ndarra
     return out
 
 
-def _bn_eval(x: np.ndarray, constants: tuple[np.ndarray, ...], out: np.ndarray | None = None) -> np.ndarray:
-    """gamma * ((x - mean) * inv_std) + beta, into ``out`` (``x`` itself to work in place)."""
+def _bn_eval(x: np.ndarray, constants: tuple[np.ndarray, ...]) -> np.ndarray:
+    """x = gamma * ((x - mean) * inv_std) + beta, in place on a conv output."""
     mu, inv_std, gamma, beta = constants
-    y = np.subtract(x, mu, out=out)
-    y *= inv_std
-    y *= gamma
-    y += beta
-    T._ensure_finite(y, "batchnorm2d")
-    return y
+    x -= mu
+    x *= inv_std
+    x *= gamma
+    x += beta
+    T._ensure_finite(x, "batchnorm2d")
+    return x
 
 
-def _block_untracked(params: ModelParams, bn, prefix: str, x: np.ndarray, downsample: bool) -> np.ndarray:
-    stride = 2 if downsample else 1
-    out = _conv(x, params[f"{prefix}.conv1.w"].array, stride, 1)
-    _bn_eval(out, bn[f"{prefix}.bn1"], out)
-    np.maximum(out, 0.0, out=out)
-    out = _conv(out, params[f"{prefix}.conv2.w"].array, 1, 1)
-    _bn_eval(out, bn[f"{prefix}.bn2"], out)
-    if downsample:
-        skip = _conv(x, params[f"{prefix}.proj.w"].array, stride, 0)
-        _bn_eval(skip, bn[f"{prefix}.proj_bn"], skip)
-    else:
-        skip = x
+def _add_inplace(out: np.ndarray, skip: np.ndarray) -> np.ndarray:
     out += skip
     T._ensure_finite(out, "add")
-    np.maximum(out, 0.0, out=out)
     return out
 
 

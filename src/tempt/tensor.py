@@ -12,7 +12,9 @@ Activations are channel-major: conv2d, batchnorm2d and global_avg_pool
 take (C, N, H, W) maps, so a conv's (F, C*kh*kw) @ (C*kh*kw, N*H'*W')
 product is already its (F, N, H', W') output and its incoming gradient
 is already a (F, N*H'*W') matrix. Kernels stay (F, C, kh, kw), and
-global_avg_pool hands the head (N, C) rows.
+global_avg_pool hands the head (N, C) rows. conv2d takes only inputs of
+exactly stride times its output size, H = stride*H' and W = stride*W',
+as every conv of the model is, and raises ShapeMismatch for any other.
 
 Tensors are immutable values once created. A graph is recorded only when
 an input requires grad, so plain inference builds no tape. Each backward
@@ -358,15 +360,14 @@ def _conv_out_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> tup
     return oh, ow
 
 
-# A conv whose input is exactly stride x (oh, ow) -- every conv of the model --
+# A conv's input is exactly stride x (oh, ow) (conv2d rejects any other), so it
 # runs on the input's stride phases: phase (u, v) holds the pixels (s*r + u, s*q + v),
 # a dense (N, oh, ow) grid flattened to one N*oh*ow row per channel. Output
 # pixel (r, q) of tap (i, j) meets phase ((i - pad) % s, (j - pad) % s) at
 # (r + di, q + dj) with (di, dj) = ((i - pad) // s, (j - pad) // s): one flat
 # offset di*ow + dj. Pixels the offset carries past a row or frame edge are
 # padding; they are zeroed, so each tap moves one contiguous block (a tap that
-# only meets padding moves nothing). Other shapes go through an explicitly
-# padded input.
+# only meets padding moves nothing).
 
 
 def _tap_phases(kh: int, kw: int, stride: int, pad: int):
@@ -401,15 +402,8 @@ def _im2col(x: Array, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int)
     Rows are (channel, tap) and columns (frame, row, col), one patch per
     column.
     """
-    c, n, h, w = x.shape
+    c, n = x.shape[:2]
     size = n * oh * ow
-    if h != stride * oh or w != stride * ow:
-        xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=np.float32)
-        xp[:, :, pad : pad + h, pad : pad + w] = x
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        windows = windows[:, :, ::stride, ::stride, :, :]  # (C,N,oh,ow,kh,kw)
-        return np.ascontiguousarray(windows.transpose(0, 4, 5, 1, 2, 3)).reshape(c * kh * kw, size)
-
     grid = x.reshape(c, n, oh, stride, ow, stride)
     phases: dict[tuple[int, int], Array] = {}
     cols = np.empty((c, kh, kw, size), dtype=np.float32)
@@ -435,13 +429,6 @@ def _col2im(taps: Array, gmat: Array, shape: tuple[int, ...], stride: int, pad: 
     c, n, h, w = shape
     s = stride
     size = n * oh * ow
-    if h != s * oh or w != s * ow:
-        gxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=np.float32)
-        for i in range(taps.shape[0]):
-            for j in range(taps.shape[1]):
-                gxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += (taps[i, j] @ gmat).reshape(c, n, oh, ow)
-        return gxp[:, :, pad : pad + h, pad : pad + w]
-
     phases: dict[tuple[int, int], Array] = {}
     for i, j, uv, di, dj in _tap_phases(taps.shape[0], taps.shape[1], s, pad):
         prod = taps[i, j] @ gmat
@@ -476,7 +463,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation with zero padding, channel-major.
 
     x: (C,N,H,W), kernel: (F,C,kh,kw) -> (F,N,H',W') with
-    H' = (H + 2*pad - kh) // stride + 1.
+    H' = (H + 2*pad - kh) // stride + 1; H must equal stride*H' and W
+    stride*W'.
     """
     if stride < 1:
         raise InvalidStride(f"stride must be >= 1, got {stride}")
@@ -486,10 +474,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     f, ck, kh, kw = kernel.shape
     if ck != c:
         raise ShapeMismatch(f"conv2d channels: input {c} vs kernel {ck}")
-    if kh > h + 2 * pad or kw > w + 2 * pad:
-        raise ShapeMismatch(f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
+    oh, ow = _conv_out_hw(h, w, kh, kw, stride, pad)
+    if h != stride * oh or w != stride * ow:
+        raise ShapeMismatch(f"conv2d input {h}x{w} is not stride {stride} x its {oh}x{ow} output")
     out, cols = conv_forward(x.data, kernel.data, stride, pad)
-    oh, ow = out.shape[2:]
 
     # save the patch matrix only when the kernel gradient will be needed
     saved_cols = cols if kernel.requires_grad else None

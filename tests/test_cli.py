@@ -294,3 +294,44 @@ def test_seed_env_override(capsys, workdir, trained_weights, monkeypatch):
     # explicit flag beats the environment
     _, out_flag = run_cli(capsys, base + ["--seed", "5"])
     assert json.loads(out_flag)["config"]["seed"] == 5
+
+
+def test_bad_seed_env_exits_2(capsys, workdir, monkeypatch):
+    monkeypatch.setenv("TEMPT_SEED", "abc")
+    weights = workdir / "seed.twgt"
+    argv = ["train", "--config", str(workdir / "config.json"), "--out", str(weights)]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ConfigError, match="TEMPT_SEED"):
+        args.fn(args)
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert not weights.exists()
+
+
+@pytest.mark.parametrize("case", ["train-out", "train-log", "adapt-trace", "benchmark-out"])
+def test_bad_output_path_exits_2_before_the_run(capsys, workdir, trained_weights, monkeypatch, case):
+    def run_started(*args, **kwargs):
+        raise AssertionError("the run started before its output paths were checked")
+
+    for name in ("train", "adapt_video", "run_benchmark"):
+        monkeypatch.setattr(cli, name, run_started)
+    config = str(workdir / "config.json")
+    missing = workdir / "no_such_dir"
+    weights = workdir / f"{case}.twgt"
+    taken = workdir / "taken_by_a_file"
+    taken.write_text("")
+    argv = {
+        "train-out": ["train", "--config", config, "--out", str(missing / "w.twgt")],
+        "train-log": ["train", "--config", config, "--out", str(weights), "--log", str(missing / "log.jsonl")],
+        "adapt-trace": ["adapt", "--weights", str(trained_weights), "--video", str(make_video_file(workdir)), "--config", config, "--trace", str(missing / "trace.csv")],
+        "benchmark-out": ["benchmark", "--weights", str(trained_weights), "--config", config, "--out", str(taken)],
+    }[case]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ConfigError):
+        args.fn(args)
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert not weights.exists()
+    assert not missing.exists()

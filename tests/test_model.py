@@ -113,12 +113,14 @@ def test_forward_deterministic(tiny_params, rng):
 def test_precomputed_stem_gives_identical_logits(tiny_params, rng):
     x = rng.uniform(-1, 1, size=(3, 3, 8, 8)).astype(np.float32)
     stem = model.stem_conv(tiny_params, x)
-    assert model.forward(tiny_params, x, stem=stem).data.tobytes() == model.forward(tiny_params, x).data.tobytes()
+    frozen = tiny_params.leaves(trainable=set())
+    with_stem = model.forward(tiny_params, x, leaves=frozen, stem=stem).data
+    assert with_stem.tobytes() == model.forward(tiny_params, x).data.tobytes()
     assert stem.shape == (tiny_params["stem.conv.w"].array.shape[0], 3, 8, 8)  # (C0, N, H, W)
     with pytest.raises(ShapeMismatch):
-        model.forward(tiny_params, x, stem=stem[:, :2])  # two of the batch's three frames
+        model.forward(tiny_params, x, leaves=frozen, stem=stem[:, :2])  # two of the batch's three frames
     with pytest.raises(ShapeMismatch):
-        model.forward(tiny_params, x, stem=stem[:2])  # two of the stem's four channels
+        model.forward(tiny_params, x, leaves=frozen, stem=stem[:2])  # two of the stem's four channels
     with pytest.raises(ValueError, match="frozen stem kernel"):
         model.forward(tiny_params, x, leaves=tiny_params.leaves(), stem=stem)
 
@@ -148,7 +150,8 @@ def test_untracked_forward_equals_tape_forward(spec_name, tiny_spec):
         tape = model.forward(params, frames[:n], leaves=params.leaves(trainable=set())).data
         assert untracked.tobytes() == tape.tobytes(), f"batch {n}"
         stem = model.stem_conv(params, frames[:n])
-        assert model.forward(params, frames[:n], stem=stem).data.tobytes() == tape.tobytes(), f"batch {n}, stem"
+        with_stem = model.forward(params, frames[:n], leaves=params.leaves(trainable=set()), stem=stem).data
+        assert with_stem.tobytes() == tape.tobytes(), f"batch {n}, stem"
 
 
 def test_untracked_forward_writes_no_caller_data(tiny_params, rng):
@@ -157,7 +160,7 @@ def test_untracked_forward_writes_no_caller_data(tiny_params, rng):
     stem = model.stem_conv(params, frames)
     before = [frames.tobytes(), stem.tobytes()] + [params[n].array.tobytes() for n in params.names()]
     adapt.forward_all(params, frames, chunk=48)
-    model.forward(params, frames, stem=stem)
+    model.forward(params, frames, leaves=params.leaves(trainable=set()), stem=stem)
     after = [frames.tobytes(), stem.tobytes()] + [params[n].array.tobytes() for n in params.names()]
     assert before == after
 
@@ -242,8 +245,18 @@ def test_eval_forward_pure(tiny_params, rng):
 def test_train_mode_updates_running_stats(tiny_spec, rng):
     params = model.build_model(tiny_spec, seed=0)
     x = rng.uniform(-1, 1, size=(4, 3, 8, 8)).astype(np.float32)
-    model.forward(params, x, mode="train")
+    model.forward(params, x, mode="train", leaves=params.leaves())
     assert not np.all(params["stem.bn.running_mean"].array == 0.0)
+
+
+def test_forward_without_leaves_is_eval_of_frames_only(tiny_params, rng):
+    x = rng.uniform(-1, 1, size=(2, 3, 8, 8)).astype(np.float32)
+    before = {n: tiny_params[n].array.tobytes() for n in tiny_params.names()}
+    with pytest.raises(ValueError, match="pass leaves"):
+        model.forward(tiny_params, x, mode="train")
+    with pytest.raises(ValueError, match="pass leaves"):
+        model.forward(tiny_params, x, stem=model.stem_conv(tiny_params, x))
+    assert before == {n: tiny_params[n].array.tobytes() for n in tiny_params.names()}
 
 
 # ---------------------------------------------------------------------------

@@ -243,47 +243,58 @@ def conv2d_direct_adjoint(
     return dxp[:, :, pad : pad + h, pad : pad + w].astype(np.float32), dk.astype(np.float32)
 
 
-# (stride, pad, NCHW input shape, kernel shape): the four original cases keep
-# their ids; then the model's three conv kinds (3x3/s1/p1 stem and residual
-# convs, 3x3/s2/p1 downsampling, 1x1/s2/p0 projection) at batch 2, and
-# stride 3, pad 2, 2x2, 2x3 and 5x5 kernels, odd inputs and H != W. Inputs
-# of exactly stride x the output size run on stride phases (the model kinds,
-# "1-1" and the last four), the others on an explicitly padded input.
+def _assert_rejected(x: T.Tensor, k: T.Tensor, stride: int, pad: int) -> None:
+    with pytest.raises(ShapeMismatch, match="is not stride"):
+        T.conv2d(x, k, stride=stride, pad=pad)
+
+
+# (stride, pad, NCHW input shape, kernel shape, accepted): the four original
+# cases keep their ids; then the model's three conv kinds (3x3/s1/p1 stem and
+# residual convs, 3x3/s2/p1 downsampling, 1x1/s2/p0 projection) at batch 2,
+# and stride 3, pad 2, 2x2, 2x3 and 5x5 kernels, odd inputs and H != W;
+# "5x5-s2-p2-2x4" has a tap that meets only padding. conv2d accepts inputs of
+# exactly stride x the output size and must reject the others.
 CONV_CASES = [
-    pytest.param(1, 0, (1, 2, 5, 5), (3, 2, 3, 3), id="1-0"),
-    pytest.param(1, 1, (1, 2, 5, 5), (3, 2, 3, 3), id="1-1"),
-    pytest.param(2, 1, (1, 2, 5, 5), (3, 2, 3, 3), id="2-1"),
-    pytest.param(2, 0, (1, 2, 5, 5), (3, 2, 3, 3), id="2-0"),
-    pytest.param(1, 1, (2, 3, 8, 8), (4, 3, 3, 3), id="model-3x3-s1-p1"),
-    pytest.param(2, 1, (2, 4, 8, 8), (5, 4, 3, 3), id="model-3x3-s2-p1"),
-    pytest.param(2, 0, (2, 4, 8, 8), (5, 4, 1, 1), id="model-1x1-s2-p0"),
-    pytest.param(3, 2, (2, 2, 7, 5), (3, 2, 2, 2), id="2x2-s3-p2-7x5"),
-    pytest.param(3, 0, (1, 2, 9, 7), (2, 2, 3, 3), id="3x3-s3-p0-9x7"),
-    pytest.param(2, 1, (2, 1, 7, 6), (2, 1, 2, 3), id="2x3-s2-p1-7x6"),
-    pytest.param(2, 2, (1, 2, 5, 7), (3, 2, 2, 2), id="2x2-s2-p2-5x7"),
-    pytest.param(3, 1, (2, 2, 9, 6), (3, 2, 3, 3), id="3x3-s3-p1-9x6"),
-    pytest.param(2, 1, (2, 3, 8, 6), (2, 3, 3, 3), id="3x3-s2-p1-8x6"),
-    pytest.param(2, 0, (2, 2, 6, 4), (3, 2, 2, 2), id="2x2-s2-p0-6x4"),
-    pytest.param(2, 2, (1, 2, 2, 4), (3, 2, 5, 5), id="5x5-s2-p2-2x4"),
+    pytest.param(1, 0, (1, 2, 5, 5), (3, 2, 3, 3), False, id="1-0"),
+    pytest.param(1, 1, (1, 2, 5, 5), (3, 2, 3, 3), True, id="1-1"),
+    pytest.param(2, 1, (1, 2, 5, 5), (3, 2, 3, 3), False, id="2-1"),
+    pytest.param(2, 0, (1, 2, 5, 5), (3, 2, 3, 3), False, id="2-0"),
+    pytest.param(1, 1, (2, 3, 8, 8), (4, 3, 3, 3), True, id="model-3x3-s1-p1"),
+    pytest.param(2, 1, (2, 4, 8, 8), (5, 4, 3, 3), True, id="model-3x3-s2-p1"),
+    pytest.param(2, 0, (2, 4, 8, 8), (5, 4, 1, 1), True, id="model-1x1-s2-p0"),
+    pytest.param(3, 2, (2, 2, 7, 5), (3, 2, 2, 2), False, id="2x2-s3-p2-7x5"),
+    pytest.param(3, 0, (1, 2, 9, 7), (2, 2, 3, 3), False, id="3x3-s3-p0-9x7"),
+    pytest.param(2, 1, (2, 1, 7, 6), (2, 1, 2, 3), False, id="2x3-s2-p1-7x6"),
+    pytest.param(2, 2, (1, 2, 5, 7), (3, 2, 2, 2), False, id="2x2-s2-p2-5x7"),
+    pytest.param(3, 1, (2, 2, 9, 6), (3, 2, 3, 3), True, id="3x3-s3-p1-9x6"),
+    pytest.param(2, 1, (2, 3, 8, 6), (2, 3, 3, 3), True, id="3x3-s2-p1-8x6"),
+    pytest.param(2, 0, (2, 2, 6, 4), (3, 2, 2, 2), True, id="2x2-s2-p0-6x4"),
+    pytest.param(2, 2, (1, 2, 2, 4), (3, 2, 5, 5), True, id="5x5-s2-p2-2x4"),
 ]
 
 
-@pytest.mark.parametrize("stride,pad,x_shape,k_shape", CONV_CASES)
-def test_conv2d_matches_direct_oracle(rng, stride, pad, x_shape, k_shape):
+@pytest.mark.parametrize("stride,pad,x_shape,k_shape,accepted", CONV_CASES)
+def test_conv2d_matches_direct_oracle(rng, stride, pad, x_shape, k_shape, accepted):
     x = rng.uniform(-1, 1, size=x_shape).astype(np.float32)
     k = rng.uniform(-1, 1, size=k_shape).astype(np.float32)
+    if not accepted:
+        _assert_rejected(T.Tensor(_swap_nc(x)), T.Tensor(k), stride, pad)
+        return
     got = _swap_nc(T.conv2d(T.Tensor(_swap_nc(x)), T.Tensor(k), stride=stride, pad=pad).data)
     want = conv2d_direct(x, k, stride=stride, pad=pad)
     assert got.shape == want.shape
     assert np.abs(got - want).max() < 1e-5
 
 
-@pytest.mark.parametrize("stride,pad,x_shape,k_shape", CONV_CASES)
-def test_conv2d_backward_matches_direct_adjoint(rng, stride, pad, x_shape, k_shape):
+@pytest.mark.parametrize("stride,pad,x_shape,k_shape,accepted", CONV_CASES)
+def test_conv2d_backward_matches_direct_adjoint(rng, stride, pad, x_shape, k_shape, accepted):
     x = rng.uniform(-1, 1, size=x_shape).astype(np.float32)
     k = rng.uniform(-1, 1, size=k_shape).astype(np.float32)
     xt = T.Tensor(_swap_nc(x), requires_grad=True)
     kt = T.Tensor(k, requires_grad=True)
+    if not accepted:
+        _assert_rejected(xt, kt, stride, pad)
+        return
     out = T.conv2d(xt, kt, stride=stride, pad=pad)
     g = rng.uniform(-1, 1, size=out.shape).astype(np.float32)  # channel-major, like out
     grads = T.backward(T.tensor_sum(out * T.Tensor(g)))
@@ -295,9 +306,9 @@ def test_conv2d_backward_matches_direct_adjoint(rng, stride, pad, x_shape, k_sha
 
 
 def test_conv2d_output_shape():
-    x = T.Tensor(np.zeros((1, 1, 7, 9), dtype=np.float32))
     k = T.Tensor(np.zeros((2, 1, 3, 3), dtype=np.float32))
-    assert T.conv2d(x, k, stride=2, pad=1).shape == (2, 1, 4, 5)
+    assert T.conv2d(T.Tensor(np.zeros((1, 1, 8, 10), dtype=np.float32)), k, stride=2, pad=1).shape == (2, 1, 4, 5)
+    _assert_rejected(T.Tensor(np.zeros((1, 1, 7, 9), dtype=np.float32)), k, stride=2, pad=1)  # 7x9 -> 4x5 too
 
 
 def test_conv2d_invalid_stride():
@@ -314,19 +325,23 @@ def test_conv2d_kernel_too_large():
         T.conv2d(x, k)
 
 
-# (stride, pad, channel-major input shape, kernel shape); the first two keep their ids
+# (stride, pad, channel-major input shape, kernel shape, accepted); the first two keep their ids
 CONV_GRAD_CASES = [
-    pytest.param(1, 1, (2, 2, 5, 5), (3, 2, 3, 3), id="1-1"),
-    pytest.param(2, 1, (2, 2, 5, 5), (3, 2, 3, 3), id="2-1"),
-    pytest.param(2, 0, (3, 2, 6, 6), (2, 3, 1, 1), id="model-1x1-s2-p0"),
-    pytest.param(3, 2, (2, 2, 7, 5), (3, 2, 2, 2), id="2x2-s3-p2-7x5"),
-    pytest.param(2, 1, (1, 2, 7, 6), (2, 1, 2, 3), id="2x3-s2-p1-7x6"),
-    pytest.param(3, 1, (2, 2, 9, 6), (3, 2, 3, 3), id="3x3-s3-p1-9x6"),
+    pytest.param(1, 1, (2, 2, 5, 5), (3, 2, 3, 3), True, id="1-1"),
+    pytest.param(2, 1, (2, 2, 5, 5), (3, 2, 3, 3), False, id="2-1"),
+    pytest.param(2, 0, (3, 2, 6, 6), (2, 3, 1, 1), True, id="model-1x1-s2-p0"),
+    pytest.param(3, 2, (2, 2, 7, 5), (3, 2, 2, 2), False, id="2x2-s3-p2-7x5"),
+    pytest.param(2, 1, (1, 2, 7, 6), (2, 1, 2, 3), False, id="2x3-s2-p1-7x6"),
+    pytest.param(3, 1, (2, 2, 9, 6), (3, 2, 3, 3), True, id="3x3-s3-p1-9x6"),
 ]
 
 
-@pytest.mark.parametrize("stride,pad,x_shape,k_shape", CONV_GRAD_CASES)
-def test_conv2d_gradients(stride, pad, x_shape, k_shape):
+@pytest.mark.parametrize("stride,pad,x_shape,k_shape,accepted", CONV_GRAD_CASES)
+def test_conv2d_gradients(stride, pad, x_shape, k_shape, accepted):
+    if not accepted:
+        zeros = [T.Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True) for shape in (x_shape, k_shape)]
+        _assert_rejected(*zeros, stride, pad)
+        return
     fd_check(
         lambda x, k: T.conv2d(x, k, stride=stride, pad=pad),
         [x_shape, k_shape],
