@@ -1,0 +1,67 @@
+"""Print one ``name sha256`` line per artefact of the conv, forward and adaptation paths.
+
+Two checkouts compute the same bytes when their outputs are equal:
+
+    (cd parent && PYTHONPATH=src python scripts/digests.py) > parent.txt
+    (cd change && PYTHONPATH=src python scripts/digests.py) > change.txt
+    diff parent.txt change.txt
+
+The artefacts come from a seeded default ``ModelSpec`` whose batch-norm
+statistics and affine parameters are spread away from identity, on 400
+seeded frames: ``forward_all`` at several chunk sizes, ``stem_conv``, the
+after-logits and adapted weights of 3-step tempt and tent adaptations, and
+the weights after one pretraining epoch.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from tempt import adapt, model, training
+from tempt.data import FrameDataset
+
+FRAMES = 400
+CHUNKS = (16, 24, 128, 384, 400)
+ADAPT_STEPS = 3
+
+
+def _sha(data) -> str:
+    raw = data if isinstance(data, bytes) else np.ascontiguousarray(data).tobytes()
+    return hashlib.sha256(raw).hexdigest()
+
+
+def _spread_bn(params: model.ModelParams, rng: np.random.Generator) -> None:
+    """Move every batch-norm layer off identity, so eval batch norm changes each activation."""
+    for name in params.names_in_group(model.GROUP_BN_STATS) + params.names_in_group(model.GROUP_BN_AFFINE):
+        arr = params[name].array
+        if name.endswith(".running_var"):
+            arr[...] = rng.uniform(0.5, 2.0, size=arr.shape)
+        elif name.endswith(".gamma"):
+            arr[...] = rng.uniform(0.8, 1.2, size=arr.shape)
+        else:  # running_mean, beta
+            arr[...] = rng.normal(0.0, 0.2, size=arr.shape)
+
+
+def digest_lines(spec: model.ModelSpec) -> list[str]:
+    """``name sha256`` of each artefact, in a fixed order."""
+    rng = np.random.Generator(np.random.PCG64(9))
+    params = model.build_model(spec, 0)
+    _spread_bn(params, rng)
+    frames = rng.standard_normal((FRAMES, spec.in_channels, spec.input_hw, spec.input_hw)).astype(np.float32)
+    lines = [f"forward_all@{chunk} {_sha(adapt.forward_all(params, frames, chunk))}" for chunk in CHUNKS]
+    lines.append(f"stem_conv {_sha(model.stem_conv(params, frames))}")
+    for method in ("tempt", "tent"):
+        cfg = adapt.AdaptConfig(method=method, steps=ADAPT_STEPS, lr=1e-3)
+        adapted, report = adapt.adapt_video(params, frames, cfg)
+        lines.append(f"adapt_{method}.logits_after {_sha(report.logits_after)}")
+        lines.append(f"adapt_{method}.params {_sha(model.save_weights(adapted))}")
+    labels = rng.permutation(np.arange(FRAMES) % spec.num_classes)
+    result = training.train(spec, FrameDataset(frames, labels), training.TrainConfig(epochs=1))
+    lines.append(f"pretrain_epoch.weights {_sha(model.save_weights(result.params))}")
+    return lines
+
+
+if __name__ == "__main__":
+    print("\n".join(digest_lines(model.ModelSpec())))

@@ -208,6 +208,8 @@ def cmd_benchmark(args) -> int:
 def cmd_gradcheck(args) -> int:
     seed = _resolve_seed(args.seed, 0)
     params = None
+    if args.config and not args.weights:
+        raise ConfigError("gradcheck --config gives the model of --weights; pass both or neither")
     if args.weights:
         cfg = load_config(args.config) if args.config else RunConfig()
         params = _load_weights(args.weights, cfg.model)

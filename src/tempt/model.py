@@ -17,11 +17,12 @@ route. Without leaves (``adapt.forward_all``: inference and the
 before/after logit series of an adaptation) it runs in eval mode only,
 tape-free: it owns its buffers and applies batch norm, relu and the
 residual add in place on each conv's own output, in the same float32 ops
-and order. Its trunk (stem through pooled features) runs on TRUNK_SLICE
-frames at a time, which keeps the patch matrices small and gives the same
-bytes under any slicing; its head runs once over the whole batch, because
-BLAS rounds the head's small matmuls differently by row count. Both routes
-give identical logits and check each new array for non-finite values once.
+and order. Its trunk (stem through pooled features) runs on
+``tensor.FRAME_SLICE`` frames at a time, the slice every conv runs in,
+which gives the same bytes under any slicing; its head runs once over the
+whole batch, because BLAS rounds the head's small matmuls differently by
+row count. Both routes give identical logits and check each new array for
+non-finite values once.
 """
 
 from __future__ import annotations
@@ -294,8 +295,6 @@ def _head(spec: ModelSpec, leaves, feat: T.Tensor) -> T.Tensor:
 # ---------------------------------------------------------------------------
 # tape-free eval forward
 
-TRUNK_SLICE = 32  # frames per trunk pass of the untracked forward
-
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises at its check, unwarned
 def _forward_untracked(params: ModelParams, frames: np.ndarray) -> T.Tensor:
@@ -304,8 +303,8 @@ def _forward_untracked(params: ModelParams, frames: np.ndarray) -> T.Tensor:
     prefixes = [n.removesuffix(".running_var") for n in params.names_in_group(GROUP_BN_STATS) if n.endswith(".running_var")]
     bn = {prefix: _bn_constants(params, prefix) for prefix in prefixes}
     feat = np.empty((frames.shape[0], spec.stages[-1][0]), dtype=np.float32)
-    for lo in range(0, frames.shape[0], TRUNK_SLICE):
-        part = slice(lo, lo + TRUNK_SLICE)
+    for lo in range(0, frames.shape[0], T.FRAME_SLICE):
+        part = slice(lo, lo + T.FRAME_SLICE)
         out = _trunk(
             spec,
             _conv(frames[part].transpose(1, 0, 2, 3), params["stem.conv.w"].array, 1, 1),
@@ -337,7 +336,7 @@ def _bn_constants(params: ModelParams, prefix: str) -> tuple[np.ndarray, ...]:
 
 
 def _conv(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    out = T.conv_forward(x, kernel, stride, pad)[0]
+    out = T.conv_forward(x, kernel, stride, pad)
     T._ensure_finite(out, "conv2d")
     return out
 

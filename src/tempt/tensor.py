@@ -16,6 +16,13 @@ global_avg_pool hands the head (N, C) rows. conv2d takes only inputs of
 exactly stride times its output size, H = stride*H' and W = stride*W',
 as every conv of the model is, and raises ShapeMismatch for any other.
 
+A conv runs its forward and its input gradient FRAME_SLICE frames at a
+time along axis 1, so each slice's patch matrix and tap products stay
+near cache size whatever the batch; every output column and every input
+gradient pixel is the same dot product in the same order under any
+slicing, so the bytes do not depend on it. The kernel gradient stays one
+GEMM over the whole batch's patch matrix, kept only when it is needed.
+
 Tensors are immutable values once created. A graph is recorded only when
 an input requires grad, so plain inference builds no tape. Each backward
 pass assembles its own topologically ordered tape from the loss node, so
@@ -49,6 +56,7 @@ from .errors import (
 Array = np.ndarray
 
 BN_MOMENTUM = 0.1  # weight of the batch statistic in each running-stat update
+FRAME_SLICE = 32  # frames per conv pass (forward and dx) and per tape-free trunk pass
 
 _M_TRIM_THRESHOLD = -1  # glibc <malloc.h> parameter numbers
 _M_MMAP_THRESHOLD = -3
@@ -396,67 +404,93 @@ def _zero_spill(rows: Array, n: int, oh: int, ow: int, di: int, dj: int) -> None
         (grid[:, :, :, -dj:] if dj > 0 else grid[:, :, :, :-dj]).fill(0.0)
 
 
-def _im2col(x: Array, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int) -> Array:
+def _im2col(x: Array, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int, cols: Array | None = None) -> Array:
     """(C,N,H,W) -> (C*kh*kw, N*oh*ow) patch matrix of the zero-padded input.
 
     Rows are (channel, tap) and columns (frame, row, col), one patch per
-    column.
+    column. The matrix is written into ``cols`` when given (a column block
+    of a larger one), else into a new array.
     """
     c, n = x.shape[:2]
     size = n * oh * ow
     grid = x.reshape(c, n, oh, stride, ow, stride)
     phases: dict[tuple[int, int], Array] = {}
-    cols = np.empty((c, kh, kw, size), dtype=np.float32)
+    if cols is None:
+        cols = np.empty((c * kh * kw, size), dtype=np.float32)
+    taps = cols.reshape(c, kh, kw, size)
     for i, j, uv, di, dj in _tap_phases(kh, kw, stride, pad):
-        rows = cols[:, i, j]
+        rows = taps[:, i, j]
         if uv not in phases:
-            phases[uv] = np.ascontiguousarray(grid[:, :, :, uv[0], :, uv[1]]).reshape(c, size)
+            phases[uv] = grid[:, :, :, uv[0], :, uv[1]].reshape(c, size)  # a view at stride 1, else a copy
         out, src = _flat_pair(di, dj, ow, size)
         rows[:, out] = phases[uv][:, src]
         _zero_spill(rows, n, oh, ow, di, dj)
-    return cols.reshape(c * kh * kw, size)
+    return cols
 
 
-def _col2im(taps: Array, gmat: Array, shape: tuple[int, ...], stride: int, pad: int, oh: int, ow: int) -> Array:
-    """Adjoint of ``_im2col``: the (C,N,H,W) input gradient.
+def _col2im(taps: Array, gmat: Array, gx: Array, stride: int, pad: int, oh: int, ow: int) -> None:
+    """Adjoint of ``_im2col``: write the input gradient into the (C,N,H,W) view ``gx``.
 
     ``taps`` is the kernel as (kh,kw,C,F) and ``gmat`` the (F, N*oh*ow)
-    output gradient. Each tap's (C,F) @ (F,N*oh*ow) product is added into
-    zero-filled buffers, taps in row-major order, so every input pixel sums
-    its taps in one fixed order. Zeroed spill adds +0.0, which leaves a sum
-    started from +0.0 bit-identical. Phases are interleaved once at the end.
+    output gradient. One GEMM forms every tap's (C,F) @ (F,N*oh*ow)
+    product, each element the same dot product over F as in a GEMM per
+    tap. The products are added into zero-filled buffers, taps in
+    row-major order, so every input pixel sums its taps in one fixed
+    order. Zeroed spill adds +0.0, which leaves a sum started from +0.0
+    bit-identical. A stride-1 conv sums straight into ``gx``; other
+    strides interleave their phases into it once at the end.
     """
-    c, n, h, w = shape
+    c, n, h, w = gx.shape
     s = stride
     size = n * oh * ow
-    phases: dict[tuple[int, int], Array] = {}
-    for i, j, uv, di, dj in _tap_phases(taps.shape[0], taps.shape[1], s, pad):
-        prod = taps[i, j] @ gmat
+    gx.fill(0.0)
+    phases: dict[tuple[int, int], Array] = {(0, 0): gx.reshape(c, size)} if s == 1 else {}
+    kh, kw = taps.shape[:2]
+    prods = (taps.reshape(kh * kw * c, -1) @ gmat).reshape(kh, kw, c, size)
+    for i, j, uv, di, dj in _tap_phases(kh, kw, s, pad):
+        prod = prods[i, j]
         _zero_spill(prod, n, oh, ow, di, dj)
         if uv not in phases:
             phases[uv] = np.zeros((c, size), dtype=np.float32)
         out, dst = _flat_pair(di, dj, ow, size)
         phases[uv][:, dst] += prod[:, out]
-    if s == 1:
-        return phases[0, 0].reshape(c, n, h, w)
-    gx = np.zeros((c, n, h, w), dtype=np.float32)
-    grid = gx.reshape(c, n, oh, s, ow, s)
-    for (u, v), phase in phases.items():
-        grid[:, :, :, u, :, v] = phase.reshape(c, n, oh, ow)
-    return gx
+    if s > 1:
+        grid = gx.reshape(c, n, oh, s, ow, s)
+        for (u, v), phase in phases.items():
+            grid[:, :, :, u, :, v] = phase.reshape(c, n, oh, ow)
 
 
-def conv_forward(x: Array, kernel: Array, stride: int, pad: int) -> tuple[Array, Array]:
-    """The (F,N,H',W') output of a (C,N,H,W) map under a (F,C,kh,kw) kernel, and its patch matrix.
+def _frame_slices(n: int, per_frame: int):
+    """(frames, columns) slice pairs of each FRAME_SLICE-frame block of an n-frame batch."""
+    for lo in range(0, n, FRAME_SLICE):
+        hi = min(lo + FRAME_SLICE, n)
+        yield slice(lo, hi), slice(lo * per_frame, hi * per_frame)
 
-    Unchecked and untracked: ``conv2d`` validates the shapes, and the model's
-    tape-free forward relies on its spec.
-    """
+
+def _conv_forward(x: Array, kernel: Array, stride: int, pad: int, cols: Array | None) -> Array:
+    """``conv_forward``, also writing the whole-batch patch matrix into ``cols`` when given."""
     c, n, h, w = x.shape
     f, _, kh, kw = kernel.shape
     oh, ow = _conv_out_hw(h, w, kh, kw, stride, pad)
-    cols = _im2col(x, kh, kw, stride, pad, oh, ow)
-    return (kernel.reshape(f, c * kh * kw) @ cols).reshape(f, n, oh, ow), cols
+    wmat = kernel.reshape(f, c * kh * kw)
+    out = np.empty((f, n * oh * ow), dtype=np.float32)
+    for frames, part in _frame_slices(n, oh * ow):
+        block = _im2col(x[:, frames], kh, kw, stride, pad, oh, ow, None if cols is None else cols[:, part])
+        np.matmul(wmat, block, out=out[:, part])
+    return out.reshape(f, n, oh, ow)
+
+
+def conv_forward(x: Array, kernel: Array, stride: int, pad: int) -> Array:
+    """The (F,N,H',W') output of a (C,N,H,W) map under a (F,C,kh,kw) kernel.
+
+    It runs FRAME_SLICE frames at a time: each block's patch matrix is
+    built and multiplied before the next one, and its GEMM writes
+    straight into its columns of the output. Every output column is the
+    same dot product under any slicing. Unchecked and untracked:
+    ``conv2d`` validates the shapes, and the model's tape-free forward
+    relies on its spec.
+    """
+    return _conv_forward(x, kernel, stride, pad, None)
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -464,7 +498,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
     x: (C,N,H,W), kernel: (F,C,kh,kw) -> (F,N,H',W') with
     H' = (H + 2*pad - kh) // stride + 1; H must equal stride*H' and W
-    stride*W'.
+    stride*W'. The forward (``conv_forward``) and dx run in FRAME_SLICE
+    frame slices; dw is one GEMM over the whole batch's patch matrix.
     """
     if stride < 1:
         raise InvalidStride(f"stride must be >= 1, got {stride}")
@@ -477,19 +512,20 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     oh, ow = _conv_out_hw(h, w, kh, kw, stride, pad)
     if h != stride * oh or w != stride * ow:
         raise ShapeMismatch(f"conv2d input {h}x{w} is not stride {stride} x its {oh}x{ow} output")
-    out, cols = conv_forward(x.data, kernel.data, stride, pad)
-
-    # save the patch matrix only when the kernel gradient will be needed
-    saved_cols = cols if kernel.requires_grad else None
+    # keep the whole-batch patch matrix only when the kernel gradient will be needed
+    cols = np.empty((c * kh * kw, n * oh * ow), dtype=np.float32) if kernel.requires_grad else None
+    out = _conv_forward(x.data, kernel.data, stride, pad, cols)
 
     def backward(g: Array) -> list[Array | None]:
         gmat = g.reshape(f, n * oh * ow)
         gx = gw = None
         if kernel.requires_grad:
-            gw = (gmat @ saved_cols.T).reshape(f, c, kh, kw)
+            gw = (gmat @ cols.T).reshape(f, c, kh, kw)
         if x.requires_grad:
             taps = np.ascontiguousarray(kernel.data.transpose(2, 3, 1, 0))  # (kh,kw,C,F)
-            gx = _col2im(taps, gmat, x.shape, stride, pad, oh, ow)
+            gx = np.empty(x.shape, dtype=np.float32)
+            for frames, part in _frame_slices(n, oh * ow):
+                _col2im(taps, gmat[:, part], gx[:, frames], stride, pad, oh, ow)
         return [gx, gw]
 
     return _make(out, "conv2d", (x, kernel), backward)

@@ -62,6 +62,33 @@ def test_unknown_config_key_exits_2(capsys, workdir):
     assert code == 2
 
 
+@pytest.mark.parametrize("case", ["directory", "utf16-bom"])
+def test_unreadable_config_exits_2(capsys, workdir, trained_weights, case):
+    path = workdir / f"config-{case}"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe" + json.dumps(TINY_CONFIG).encode("utf-16-le"))
+    code, out = run_cli(capsys, ["eval", "--weights", str(trained_weights), "--config", str(path)])
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("config", ["config.json", "nonexistent.json"])
+def test_gradcheck_config_without_weights_exits_2(capsys, workdir, monkeypatch, config):
+    def gradcheck_started(*args, **kwargs):
+        raise AssertionError("gradcheck ran with a config and no weights")
+
+    monkeypatch.setattr(cli, "run_gradcheck", gradcheck_started)
+    argv = ["gradcheck", "--loss", "ce", "--config", str(workdir / config)]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ConfigError):
+        args.fn(args)
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["adapt", "eval", "benchmark", "gradcheck"])
 def test_missing_weights_exits_2(capsys, workdir, command):
     argv = [command, "--weights", str(workdir / "missing.twgt"), "--config", str(workdir / "config.json")]

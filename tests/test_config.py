@@ -88,3 +88,21 @@ def test_invalid_config_rejected_at_load(tmp_path, doc):
         config.load_config(path)
     assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "w.twgt")]) == 2
     assert not (tmp_path / "w.twgt").exists()
+
+
+@pytest.mark.parametrize("case", ["directory", "utf16-bom", "unreadable"])
+def test_unreadable_config_raises_config_error(tmp_path, monkeypatch, case):
+    path = tmp_path / "config.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "utf16-bom":
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    else:
+        path.write_text("{}")
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)  # a chmod does not stop a root reader
+    with pytest.raises(ConfigError):
+        config.load_config(path)

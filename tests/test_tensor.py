@@ -270,6 +270,7 @@ CONV_CASES = [
     pytest.param(2, 1, (2, 3, 8, 6), (2, 3, 3, 3), True, id="3x3-s2-p1-8x6"),
     pytest.param(2, 0, (2, 2, 6, 4), (3, 2, 2, 2), True, id="2x2-s2-p0-6x4"),
     pytest.param(2, 2, (1, 2, 2, 4), (3, 2, 5, 5), True, id="5x5-s2-p2-2x4"),
+    pytest.param(2, 1, (33, 2, 4, 4), (3, 2, 3, 3), True, id="model-3x3-s2-p1-n33"),  # crosses a frame slice
 ]
 
 
@@ -323,6 +324,25 @@ def test_conv2d_kernel_too_large():
     k = T.Tensor(np.zeros((1, 1, 5, 5), dtype=np.float32))
     with pytest.raises(ShapeMismatch):
         T.conv2d(x, k)
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
+@pytest.mark.parametrize("stride,pad,k", [(1, 1, 3), (2, 1, 3), (2, 0, 1)], ids=["3x3-s1-p1", "3x3-s2-p1", "1x1-s2-p0"])
+def test_conv2d_frame_slices_keep_bytes(rng, stride, pad, k, n):
+    """Output and dx equal frame-by-frame conv2d byte for byte; dw is one GEMM over the whole batch."""
+    x = rng.standard_normal((8, n, 16, 16)).astype(np.float32)
+    kernel = T.Tensor(rng.standard_normal((12, 8, k, k)).astype(np.float32), requires_grad=True)
+    out = T.conv2d(T.Tensor(x, requires_grad=True), kernel, stride=stride, pad=pad)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    dx, dw = out.node.backward_fn(g)
+    per_frame = [T.conv2d(T.Tensor(x[:, i : i + 1], requires_grad=True), kernel, stride=stride, pad=pad) for i in range(n)]
+    want_out = np.concatenate([o.data for o in per_frame], axis=1)
+    want_dx = np.concatenate([o.node.backward_fn(g[:, i : i + 1])[0] for i, o in enumerate(per_frame)], axis=1)
+    oh, ow = out.shape[2:]
+    want_dw = g.reshape(12, -1) @ T._im2col(x, k, k, stride, pad, oh, ow).T
+    assert out.data.tobytes() == want_out.tobytes()
+    assert dx.tobytes() == want_dx.tobytes()
+    assert dw.tobytes() == want_dw.reshape(dw.shape).tobytes()
 
 
 # (stride, pad, channel-major input shape, kernel shape, accepted); the first two keep their ids
