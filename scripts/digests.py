@@ -9,8 +9,11 @@ Two checkouts compute the same bytes when their outputs are equal:
 The artefacts come from a seeded default ``ModelSpec`` whose batch-norm
 statistics and affine parameters are spread away from identity, on 400
 seeded frames: ``forward_all`` at several chunk sizes, ``stem_conv``, the
-after-logits and adapted weights of 3-step tempt and tent adaptations, and
-the weights after one pretraining epoch.
+after-logits and adapted weights of 3-step tempt and tent adaptations, the
+weights after one pretraining epoch, and the named gradients of one
+train-mode step and of one eval-mode step on the batch-norm affine
+parameters (Adam's first update is about lr * sign(g), so the weights
+alone can hide low-bit gradient differences).
 """
 
 from __future__ import annotations
@@ -19,17 +22,24 @@ import hashlib
 
 import numpy as np
 
-from tempt import adapt, model, training
+from tempt import adapt, losses, model, tensor, training
 from tempt.data import FrameDataset
 
 FRAMES = 400
 CHUNKS = (16, 24, 128, 384, 400)
 ADAPT_STEPS = 3
+STEP_BATCH = 70  # two full frame slices and a partial one
 
 
 def _sha(data) -> str:
     raw = data if isinstance(data, bytes) else np.ascontiguousarray(data).tobytes()
     return hashlib.sha256(raw).hexdigest()
+
+
+def _grads_sha(leaves: dict[str, tensor.Tensor], loss: tensor.Tensor) -> str:
+    """sha256 of every named gradient of ``loss``, in leaf order."""
+    grads = tensor.grads_by_name(leaves, tensor.backward(loss))
+    return _sha(b"".join(np.ascontiguousarray(g).tobytes() for g in grads.values()))
 
 
 def _spread_bn(params: model.ModelParams, rng: np.random.Generator) -> None:
@@ -60,6 +70,13 @@ def digest_lines(spec: model.ModelSpec) -> list[str]:
     labels = rng.permutation(np.arange(FRAMES) % spec.num_classes)
     result = training.train(spec, FrameDataset(frames, labels), training.TrainConfig(epochs=1))
     lines.append(f"pretrain_epoch.weights {_sha(model.save_weights(result.params))}")
+    batch, batch_labels = frames[:STEP_BATCH], labels[:STEP_BATCH]
+    train_leaves = params.copy().leaves()  # a copy: train mode moves the running statistics
+    z = model.forward(params, batch, mode="train", leaves=train_leaves)
+    lines.append(f"train_step.grads {_grads_sha(train_leaves, losses.cross_entropy(z, batch_labels))}")
+    adapt_leaves = params.leaves(trainable=set(params.names_in_group(model.GROUP_BN_AFFINE)))
+    z = model.forward(params, batch, mode="eval", leaves=adapt_leaves)
+    lines.append(f"adapt_step.grads {_grads_sha(adapt_leaves, losses.entropy_loss(z))}")
     return lines
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import losses, model, temporal
 from . import tensor as T
-from .errors import NoAdaptableParams, NonFiniteValue
+from .errors import NoAdaptableParams, NonFiniteValue, TooFewFrames
 from .metrics import evaluate_logits
 from .optim import AdamWConfig, AdamWState, adamw_step
 
@@ -100,6 +100,8 @@ def trainable_subset(params: model.ModelParams, method: str) -> list[str]:
 
 def forward_all(params: model.ModelParams, frames: np.ndarray, chunk: int = 128) -> np.ndarray:
     """Untracked eval-mode logits for every frame, in fixed-size chunks."""
+    if frames.shape[0] == 0:
+        raise TooFewFrames("a video needs at least one frame")
     outs = []
     for lo in range(0, frames.shape[0], chunk):
         z = model.forward(params, frames[lo : lo + chunk], mode="eval")
@@ -136,7 +138,7 @@ def adapt_video(
     config.validate()
     t_frames = frames.shape[0]
     if config.method == "tempt" and t_frames < 2:
-        raise ValueError("tempt needs at least two frames")
+        raise TooFewFrames(f"tempt needs at least two frames, got {t_frames}")
 
     work = params.copy()
     chunk = config.batch_frames_cap

@@ -93,6 +93,10 @@ class LengthMismatch(TemptError):
     pass
 
 
+class TooFewFrames(TemptError):
+    pass
+
+
 class InvalidRange(TemptError):
     pass
 

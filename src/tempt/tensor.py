@@ -5,8 +5,8 @@ elementwise arithmetic with trailing-dim broadcasting, matmul, transpose, conv2d
 batchnorm2d, relu, global average pooling, exp/log/sqrt, reductions and
 row gathering. Every array an op creates is checked for NaN/Inf once,
 where it is born, and the op raises instead of propagating garbage. An
-array that is finite whenever its checked input is (a relu's max with 0,
-a gradient handed through unchanged) is not scanned again.
+array that is finite whenever its checked input is (a relu's output and
+gradient, a gradient handed through unchanged) is not scanned again.
 
 Activations are channel-major: conv2d, batchnorm2d and global_avg_pool
 take (C, N, H, W) maps, so a conv's (F, C*kh*kw) @ (C*kh*kw, N*H'*W')
@@ -90,20 +90,22 @@ class Node:
     """One tape record: op id, input refs and the gradient closure.
 
     ``backward_fn(grad_out)`` returns one gradient array (or None) per
-    parent, aligned with ``parents``.
+    parent, aligned with ``parents``. ``finite`` is ``_make``'s flag.
     """
 
-    __slots__ = ("op", "parents", "backward_fn")
+    __slots__ = ("op", "parents", "backward_fn", "finite")
 
     def __init__(
         self,
         op: str,
         parents: tuple["Tensor", ...],
         backward_fn: Callable[[Array], list[Array | None]],
+        finite: bool = False,
     ) -> None:
         self.op = op
         self.parents = parents
         self.backward_fn = backward_fn
+        self.finite = finite
 
 
 class Tensor:
@@ -164,11 +166,11 @@ def _wrap(value) -> Tensor:
 
 
 def _make(data: Array, op: str, parents: tuple[Tensor, ...], backward_fn, finite: bool = False) -> Tensor:
-    # finite=True: the op cannot make NaN/Inf from checked inputs, so the scan is skipped
+    # finite=True: the op cannot make NaN/Inf from checked values, so neither its output nor its gradients are scanned
     if not finite:
         _ensure_finite(data, op)
     if any(p.requires_grad for p in parents):
-        return Tensor._unchecked(data, True, node=Node(op, parents, backward_fn))
+        return Tensor._unchecked(data, True, node=Node(op, parents, backward_fn, finite))
     return Tensor._unchecked(data)
 
 
@@ -437,14 +439,17 @@ def _col2im(taps: Array, gmat: Array, gx: Array, stride: int, pad: int, oh: int,
     tap. The products are added into zero-filled buffers, taps in
     row-major order, so every input pixel sums its taps in one fixed
     order. Zeroed spill adds +0.0, which leaves a sum started from +0.0
-    bit-identical. A stride-1 conv sums straight into ``gx``; other
-    strides interleave their phases into it once at the end.
+    bit-identical. A stride-1 conv sums straight into the zero-filled
+    ``gx``; other strides interleave their phases into it once at the
+    end, zero-filled first only when some phase meets no tap (a 1x1
+    stride-2 conv's).
     """
     c, n, h, w = gx.shape
     s = stride
     size = n * oh * ow
-    gx.fill(0.0)
     phases: dict[tuple[int, int], Array] = {(0, 0): gx.reshape(c, size)} if s == 1 else {}
+    if s == 1:
+        gx.fill(0.0)
     kh, kw = taps.shape[:2]
     prods = (taps.reshape(kh * kw * c, -1) @ gmat).reshape(kh, kw, c, size)
     for i, j, uv, di, dj in _tap_phases(kh, kw, s, pad):
@@ -455,6 +460,8 @@ def _col2im(taps: Array, gmat: Array, gx: Array, stride: int, pad: int, oh: int,
         out, dst = _flat_pair(di, dj, ow, size)
         phases[uv][:, dst] += prod[:, out]
     if s > 1:
+        if len(phases) < s * s:  # a phase no tap meets stays zero; one contiguous fill beats strided ones
+            gx.fill(0.0)
         grid = gx.reshape(c, n, oh, s, ow, s)
         for (u, v), phase in phases.items():
             grid[:, :, :, u, :, v] = phase.reshape(c, n, oh, ow)
@@ -520,7 +527,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         gmat = g.reshape(f, n * oh * ow)
         gx = gw = None
         if kernel.requires_grad:
-            gw = (gmat @ cols.T).reshape(f, c, kh, kw)
+            # gmat @ cols.T's dot products, in the operand order OpenBLAS packs about twice as fast
+            gw = (cols @ gmat.T).T.reshape(f, c, kh, kw)
         if x.requires_grad:
             taps = np.ascontiguousarray(kernel.data.transpose(2, 3, 1, 0))  # (kh,kw,C,F)
             gx = np.empty(x.shape, dtype=np.float32)
@@ -570,9 +578,13 @@ def batchnorm2d(
         mu = running_mean.data.reshape(bc)
         var = running_var.data.reshape(bc)
     else:
-        mu_c = x.data.mean(axis=axes, dtype=np.float64)
-        var_c = x.data.var(axis=axes, dtype=np.float64)
+        # np.mean's and np.var's own steps, with one float64 sum serving both
         count = x.data.size // c
+        mu_c = np.add.reduce(x.data, axis=axes, dtype=np.float64) / count
+        dev = x.data - mu_c.reshape(bc)
+        dev *= dev
+        var_c = np.add.reduce(dev, axis=axes, dtype=np.float64) / count
+        del dev
         if count > 1:
             var_unbiased = var_c * (count / (count - 1))
         else:
@@ -591,18 +603,21 @@ def batchnorm2d(
     out += beta.data.reshape(bc)
 
     def backward(g: Array) -> list[Array | None]:
-        ggamma = (g * xhat).sum(axis=axes).astype(np.float32) if gamma.requires_grad else None
-        gbeta = g.sum(axis=axes).astype(np.float32) if beta.requires_grad else None
+        gxhat_sum = (g * xhat).sum(axis=axes, keepdims=True)
+        gsum = g.sum(axis=axes, keepdims=True)
         gx = None
         if x.requires_grad:
             gw = gamma.data.reshape(bc) * inv_std
             if mode == "eval":
                 gx = g * gw
             else:
+                # gw * (g - gsum / m - xhat * gxhat_sum / m): the same ops in the same order, in place
                 m = x.data.size // c
-                gsum = g.sum(axis=axes, keepdims=True)
-                gxhat_sum = (g * xhat).sum(axis=axes, keepdims=True)
-                gx = gw * (g - gsum / m - xhat * gxhat_sum / m)
+                gx = g - gsum / m
+                gx -= xhat * gxhat_sum / m
+                gx *= gw
+        ggamma = gxhat_sum.reshape(c) if gamma.requires_grad else None
+        gbeta = gsum.reshape(c) if beta.requires_grad else None
         return [gx, ggamma, gbeta, None, None]
 
     return _make(out, "batchnorm2d", (x, gamma, beta, running_mean, running_var), backward)
@@ -675,8 +690,9 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
         for p, pg in zip(t.node.parents, parent_grads):
             if pg is None or not p.requires_grad:
                 continue
-            # g itself was checked when it was formed; a gradient passed through is not scanned again
-            if pg is not g:
+            # g itself was checked when it was formed; a gradient passed through, or formed
+            # from g by an op that cannot make NaN/Inf (relu's g * mask), is not scanned again
+            if pg is not g and not t.node.finite:
                 _ensure_finite(pg, f"backward[{t.node.op}]")
             key = id(p)
             if key in grads:

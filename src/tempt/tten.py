@@ -6,6 +6,7 @@ u32 dims[rank] little-endian, then the raw little-endian float32 payload.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -40,7 +41,7 @@ def tensor_from_bytes(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
         raise CorruptTensorFile("truncated tensor dims")
     shape = struct.unpack_from(f"<{rank}I", data, pos) if rank else ()
     pos += 4 * rank
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+    count = math.prod(shape)  # exact: an int64 product wraps (65536**4 is 0 in int64)
     nbytes = 4 * count
     if len(data) - pos < nbytes:
         raise CorruptTensorFile("truncated tensor payload")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,50 @@ def make_video_file(workdir):
     return path
 
 
+def _video_prefix(workdir, frames: int) -> Path:
+    """The first ``frames`` frames of the shared clip, as a video file with its sidecar."""
+    from tempt.tten import read_tten, write_tten
+
+    clip = make_video_file(workdir)
+    path = workdir / f"clip_{frames}.tten"
+    write_tten(path, read_tten(clip)[:frames])
+    doc = json.loads(Path(f"{clip}.json").read_text())
+    Path(f"{path}.json").write_text(json.dumps({**doc, "labels": doc["labels"][:frames]}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "frames,command,method",
+    [(0, "adapt", "tempt"), (0, "adapt", "tent"), (0, "adapt", "none"), (0, "eval", None), (1, "adapt", "tempt")],
+)
+def test_too_few_frames_exit_2(capsys, workdir, trained_weights, frames, command, method):
+    argv = [command, "--weights", str(trained_weights), "--config", str(workdir / "config.json")]
+    argv += ["--video", str(_video_prefix(workdir, frames))] + (["--method", method] if method else [])
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("part", ["video", "weights"])
+def test_wrapping_tensor_dims_exit_2(capsys, workdir, trained_weights, part):
+    """Four dims of 65536: their int64 product wraps to 0, the exact one is far past the payload."""
+    video, weights = make_video_file(workdir), trained_weights
+    source = video if part == "video" else weights
+    blob = bytearray(source.read_bytes())
+    struct.pack_into("<4I", blob, blob.index(b"TTEN") + 7, *(65536,) * 4)
+    broken = workdir / f"wrapping_dims{source.suffix}"
+    broken.write_bytes(bytes(blob))
+    if part == "video":
+        Path(f"{broken}.json").write_bytes(Path(f"{video}.json").read_bytes())
+        video = broken
+    else:
+        weights = broken
+    argv = ["adapt", "--weights", str(weights), "--video", str(video), "--config", str(workdir / "config.json")]
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_adapt_report_and_trace(capsys, workdir, trained_weights):
     video = make_video_file(workdir)
     trace = workdir / "trace.csv"
@@ -233,6 +278,15 @@ def test_train_nonfinite_activation_exits_3(capsys, workdir, nan_in_tracked_relu
     assert code == 3
     assert out == ""
     assert not (workdir / "nan.twgt").exists()
+
+
+def test_train_overflowing_gradient_exits_3(capsys, workdir, monkeypatch):
+    # relu's gradient is not scanned; a mask that scales it past float32 must still end training at the next op
+    monkeypatch.setattr(T, "_relu_mask", lambda x: np.where(x > 0, np.float32(1e38), np.float32(0.0)))
+    code, out = run_cli(capsys, ["train", "--config", str(workdir / "config.json"), "--out", str(workdir / "inf.twgt")])
+    assert code == 3
+    assert out == ""
+    assert not (workdir / "inf.twgt").exists()
 
 
 def test_eval_command(capsys, workdir, trained_weights):

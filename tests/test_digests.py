@@ -14,6 +14,8 @@ NAMES = [f"forward_all@{chunk}" for chunk in (16, 24, 128, 384, 400)] + [
     "adapt_tent.logits_after",
     "adapt_tent.params",
     "pretrain_epoch.weights",
+    "train_step.grads",
+    "adapt_step.grads",
 ]
 
 

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
-from tempt import adapt, model, reference
+from tempt import adapt, model, reference, tten
 from tempt import tensor as T
 from tempt.errors import (
     ArchMismatch,
+    CorruptTensorFile,
     CorruptWeights,
     InvalidSpec,
     NegativeVariance,
@@ -284,6 +287,21 @@ def test_truncated_weights_rejected(tiny_spec, tiny_params):
     bad_name[11] = 0xFF  # first byte of the first parameter name: not UTF-8
     with pytest.raises(CorruptWeights):
         model.load_weights(bytes(bad_name), spec=tiny_spec)
+
+
+def _wrapping_dims(blob: bytes) -> bytes:
+    """``blob`` with its first tensor record's four dims set to 65536 each, a product int64 wraps to 0."""
+    out = bytearray(blob)
+    struct.pack_into("<4I", out, blob.index(tten.MAGIC) + 7, *(65536,) * 4)
+    return bytes(out)
+
+
+def test_tensor_dims_product_is_exact(tiny_spec, tiny_params):
+    record = _wrapping_dims(tten.tensor_to_bytes(np.zeros((2, 2, 2, 2), dtype=np.float32)))
+    with pytest.raises(CorruptTensorFile, match="payload"):
+        tten.tensor_from_bytes(record)
+    with pytest.raises(CorruptWeights, match="payload"):
+        model.load_weights(_wrapping_dims(model.save_weights(tiny_params)), spec=tiny_spec)
 
 
 def test_weights_for_another_spec_rejected(tiny_spec, tiny_params):

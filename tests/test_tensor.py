@@ -345,6 +345,53 @@ def test_conv2d_frame_slices_keep_bytes(rng, stride, pad, k, n):
     assert dw.tobytes() == want_dw.reshape(dw.shape).tobytes()
 
 
+@pytest.fixture(scope="module")
+def default_model_layers():
+    """(conv inputs, batch-norm inputs) of one default-model train forward, per frame and deduplicated.
+
+    A conv input is (channels, (H, W), kernel shape, stride, pad), a
+    batch-norm input (channels, H, W); both are recorded from the model's
+    own calls, so they follow its topology.
+    """
+    convs, bns = set(), set()
+    real_conv, real_bn = T.conv2d, T.batchnorm2d
+
+    def conv(x, kernel, stride=1, pad=0):
+        convs.add((x.shape[0], x.shape[2:], kernel.shape, stride, pad))
+        return real_conv(x, kernel, stride=stride, pad=pad)
+
+    def bn(x, *args, **kwargs):
+        bns.add((x.shape[0],) + x.shape[2:])
+        return real_bn(x, *args, **kwargs)
+
+    params = model.build_model(model.ModelSpec(), 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "conv2d", conv)
+        mp.setattr(T, "batchnorm2d", bn)
+        frames = np.zeros((2, 3, params.spec.input_hw, params.spec.input_hw), dtype=np.float32)
+        model.forward(params, frames, mode="train", leaves=params.copy().leaves())
+    return sorted(convs), sorted(bns)
+
+
+MODEL_BATCHES = [1, 31, 33, 64, 70]
+
+
+@pytest.mark.parametrize("n", MODEL_BATCHES)
+def test_conv2d_kernel_gradient_is_one_whole_batch_gemm(rng, default_model_layers, n):
+    """dw equals g @ im2col(whole batch).T byte for byte, for every conv of the default model."""
+    convs, _ = default_model_layers
+    assert len(convs) == 10
+    for c, (h, w), kshape, stride, pad in convs:
+        x = rng.standard_normal((c, n, h, w)).astype(np.float32)
+        kernel = T.Tensor(rng.standard_normal(kshape).astype(np.float32), requires_grad=True)
+        out = T.conv2d(T.Tensor(x), kernel, stride=stride, pad=pad)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        _, dw = out.node.backward_fn(g)
+        f, _, kh, kw = kshape
+        want = g.reshape(f, -1) @ T._im2col(x, kh, kw, stride, pad, *out.shape[2:]).T
+        assert dw.tobytes() == want.reshape(kshape).tobytes(), (c, h, kshape, stride)
+
+
 # (stride, pad, channel-major input shape, kernel shape, accepted); the first two keep their ids
 CONV_GRAD_CASES = [
     pytest.param(1, 1, (2, 2, 5, 5), (3, 2, 3, 3), True, id="1-1"),
@@ -457,6 +504,50 @@ def test_batchnorm_gradients(rng, mode):
     fd_check(op, [(3, 2, 4, 4), (3,), (3,)], seed=13)
 
 
+def _bn_train_reference(x, gamma, beta, running_mean, running_var, g, eps):
+    """Train-mode batch norm with np.mean / np.var and its backward as one expression.
+
+    Returns (out, new running mean, new running var, gx, ggamma, gbeta).
+    """
+    c = x.shape[0]
+    bc, axes, m = (c, 1, 1, 1), (1, 2, 3), x.size // c
+    mu_c = x.mean(axis=axes, dtype=np.float64)
+    var_c = x.var(axis=axes, dtype=np.float64)
+    var_unbiased = var_c * (m / (m - 1)) if m > 1 else var_c
+    new_mean = ((1 - T.BN_MOMENTUM) * running_mean + T.BN_MOMENTUM * mu_c).astype(np.float32)
+    new_var = ((1 - T.BN_MOMENTUM) * running_var + T.BN_MOMENTUM * var_unbiased).astype(np.float32)
+    inv_std = 1.0 / np.sqrt(var_c.astype(np.float32).reshape(bc) + np.float32(eps))
+    xhat = (x - mu_c.astype(np.float32).reshape(bc)) * inv_std
+    out = gamma.reshape(bc) * xhat + beta.reshape(bc)
+    gsum = g.sum(axis=axes, keepdims=True)
+    gxhat_sum = (g * xhat).sum(axis=axes, keepdims=True)
+    gx = gamma.reshape(bc) * inv_std * (g - gsum / m - xhat * gxhat_sum / m)
+    ggamma = (g * xhat).sum(axis=axes).astype(np.float32)
+    gbeta = g.sum(axis=axes).astype(np.float32)
+    return out, new_mean, new_var, gx, ggamma, gbeta
+
+
+@pytest.mark.parametrize("n", MODEL_BATCHES)
+def test_batchnorm_train_matches_reference_bytes(rng, default_model_layers, n):
+    """Output, running buffers and all three gradients equal the reference byte for byte on the model's shapes."""
+    _, bns = default_model_layers
+    assert len(bns) == 4
+    for c, h, w in bns:
+        x = rng.normal(0.3, 2.0, size=(c, n, h, w)).astype(np.float32)
+        gamma, beta = rng.uniform(0.5, 1.5, size=c).astype(np.float32), rng.normal(0, 0.3, size=c).astype(np.float32)
+        mean, var = rng.normal(0, 0.3, size=c).astype(np.float32), rng.uniform(0.5, 2.0, size=c).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        mean_t, var_t = T.Tensor(mean.copy()), T.Tensor(var.copy())
+        leaves = [T.Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        out = T.batchnorm2d(*leaves, mean_t, var_t, eps=model.BN_EPS, mode="train")
+        gx, ggamma, gbeta, _, _ = out.node.backward_fn(g)
+        got = (out.data, mean_t.data, var_t.data, gx, ggamma, gbeta)
+        want = _bn_train_reference(x, gamma, beta, mean, var, g, model.BN_EPS)
+        for label, a, b in zip(("out", "running_mean", "running_var", "gx", "ggamma", "gbeta"), got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, (label, c, h)
+            assert a.tobytes() == b.tobytes(), (label, c, h)
+
+
 # ---------------------------------------------------------------------------
 # pooling
 
@@ -538,6 +629,25 @@ def test_overflowing_gradient_sum_raises_at_accumulation():
     big = T.Tensor([3e38])
     with pytest.raises(NonFiniteValue, match="accumulation"):
         T.backward(T.tensor_sum(x * big + x * big))
+
+
+def test_nonfinite_gradient_into_relu_raises_at_the_op_that_formed_it():
+    # the forward 1e-30 * 1e20 * 1e20 is finite; the gradient 1e20 * 1e20 headed for the relu is not
+    x = T.Tensor([1e-30], requires_grad=True)
+    loss = T.tensor_sum(T.relu(x) * T.Tensor([1e20]) * T.Tensor([1e20]))
+    with pytest.raises(NonFiniteValue, match=r"backward\[mul\]"):
+        T.backward(loss)
+
+
+def test_relu_gradient_is_not_rescanned(monkeypatch):
+    checked = []
+    real = T._ensure_finite
+    monkeypatch.setattr(T, "_ensure_finite", lambda data, op: (checked.append(op), real(data, op)))
+    x = T.Tensor([-1.0, 2.0], requires_grad=True)
+    grads = T.backward(T.tensor_sum(T.relu(x * T.Tensor([3.0, 3.0]))))
+    assert np.array_equal(grads[x].data, [0.0, 3.0])
+    assert "backward[relu]" not in checked
+    assert "backward[mul]" in checked
 
 
 def test_take_rows_gather_scatter():
