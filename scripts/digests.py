@@ -13,22 +13,26 @@ after-logits and adapted weights of 3-step tempt and tent adaptations, the
 weights after one pretraining epoch, and the named gradients of one
 train-mode step and of one eval-mode step on the batch-norm affine
 parameters (Adam's first update is about lr * sign(g), so the weights
-alone can hide low-bit gradient differences).
+alone can hide low-bit gradient differences). The last line is the shipped
+``configs/default.json`` as its parser resolves it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 
-from tempt import adapt, losses, model, tensor, training
+from tempt import adapt, config, losses, model, tensor, training
 from tempt.data import FrameDataset
 
 FRAMES = 400
 CHUNKS = (16, 24, 128, 384, 400)
 ADAPT_STEPS = 3
 STEP_BATCH = 70  # two full frame slices and a partial one
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 
 def _sha(data) -> str:
@@ -77,6 +81,8 @@ def digest_lines(spec: model.ModelSpec) -> list[str]:
     adapt_leaves = params.leaves(trainable=set(params.names_in_group(model.GROUP_BN_AFFINE)))
     z = model.forward(params, batch, mode="eval", leaves=adapt_leaves)
     lines.append(f"adapt_step.grads {_grads_sha(adapt_leaves, losses.entropy_loss(z))}")
+    resolved = json.dumps(config.resolved_dict(config.load_config(DEFAULT_CONFIG)), sort_keys=True)
+    lines.append(f"config.default {_sha(resolved.encode())}")
     return lines
 
 

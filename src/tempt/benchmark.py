@@ -95,7 +95,7 @@ def _task_seed(master_seed: int, video_idx: int, method: str, repeat: int) -> in
     return int(np.random.SeedSequence((master_seed, 3, video_idx, mi, repeat)).generate_state(1)[0])
 
 
-# worker-process globals, set once per worker by _init_worker
+# worker-process globals, set once per worker by _init_worker (in this process when jobs is 1)
 _WORKER: dict = {}
 
 
@@ -219,7 +219,10 @@ def run_benchmark(
                     os.environ[k] = v
     else:
         _init_worker(base_params, videos)
-        rows = [_run_task(t) for t in tasks]
+        try:
+            rows = [_run_task(t) for t in tasks]
+        finally:
+            _WORKER.clear()  # the caller's parameters and videos must not outlive the call
 
     # replicate the seed-free rows up to `repeats`
     expanded: list[dict] = []

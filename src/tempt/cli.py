@@ -123,9 +123,8 @@ def _write_trace(path: Path, report) -> None:
 def cmd_adapt(args) -> int:
     cfg = load_config(args.config)
     seed = _resolve_seed(args.seed, cfg.adapt.seed)
-    adapt_cfg = dataclasses.replace(cfg.adapt, seed=seed)
-    if args.method:
-        adapt_cfg = dataclasses.replace(adapt_cfg, method=args.method)
+    adapt_cfg = dataclasses.replace(cfg.adapt, seed=seed, method=args.method or cfg.adapt.method)
+    cfg = dataclasses.replace(cfg, adapt=adapt_cfg)
     trace_path = _output_file(args.trace) if args.trace else None
 
     params = _load_weights(args.weights, cfg.model)

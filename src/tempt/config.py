@@ -1,8 +1,9 @@
 """Strict JSON run configuration.
 
 One document with model/train/adapt/benchmark sections. Unknown keys are
-fatal so that an echoed config always describes the run completely, and
-every section is validated at load time.
+fatal so that an echoed config always describes the run completely, each
+value must have the JSON type of its field's default, and every section is
+validated at load time.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from pathlib import Path
 
 from .adapt import AdaptConfig
 from .benchmark import BenchmarkConfig
-from .data import ShiftRanges
 from .errors import ConfigError, InvalidRange, InvalidSpec
 from .model import ModelSpec
 from .training import TrainConfig
@@ -27,54 +27,41 @@ class RunConfig:
     benchmark: BenchmarkConfig = BenchmarkConfig()
 
 
-_SECTIONS = {"model", "train", "adapt", "benchmark"}
-
 # JSON types a scalar field takes, by the type of its default (an int is a valid float)
 _SCALAR_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
-def _build(cls, raw: dict, path: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(raw) - set(fields)
+def _build(cls, raw, path: str):
+    """A ``cls`` from a JSON object; each given value takes the type of its field's default."""
+    if type(raw) is not dict:
+        raise ConfigError(f"{path} must be a JSON object, got {type(raw).__name__}")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys at {path}: {sorted(unknown)}")
-    kwargs = {}
-    for name, value in raw.items():
-        accepted = _SCALAR_TYPES.get(type(fields[name].default))
-        if accepted and type(value) not in accepted:
-            raise ConfigError(f"{path}.{name} must be {type(fields[name].default).__name__}, got {value!r}")
-        if name in ("train_shift", "test_shift"):
-            value = _shift_ranges(value, f"{path}.{name}")
-        elif name == "stages":
-            value = tuple(tuple(s) for s in value)
-        kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad section {path}: {exc}") from exc
+    return cls(**{name: _typed(defaults[name], value, f"{path}.{name}") for name, value in raw.items()})
 
 
-def _shift_ranges(raw: dict, path: str) -> ShiftRanges:
-    allowed = {"brightness", "contrast", "channel_gain"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys at {path}: {sorted(unknown)}")
-    kwargs = {k: tuple(v) for k, v in raw.items()}
-    return ShiftRanges(**kwargs)
+def _typed(default, value, path: str):
+    """``value`` in the type of ``default``.
+
+    A dataclass default takes a JSON object, a tuple default a list whose
+    elements each take the type of the default's first element, and a
+    scalar default a JSON value of its own type.
+    """
+    if dataclasses.is_dataclass(default):
+        return _build(type(default), value, path)
+    if isinstance(default, tuple):
+        if type(value) is not list:
+            raise ConfigError(f"{path} must be a list, got {type(value).__name__}")
+        return tuple(_typed(default[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if type(value) not in _SCALAR_TYPES[type(default)]:
+        raise ConfigError(f"{path} must be {type(default).__name__}, got {value!r}")
+    return value
 
 
-def parse_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(doc) - _SECTIONS
-    if unknown:
-        raise ConfigError(f"unknown top-level sections: {sorted(unknown)}")
-    cfg = RunConfig(
-        model=_build(ModelSpec, doc.get("model", {}), "model"),
-        train=_build(TrainConfig, doc.get("train", {}), "train"),
-        adapt=_build(AdaptConfig, doc.get("adapt", {}), "adapt"),
-        benchmark=_build(BenchmarkConfig, doc.get("benchmark", {}), "benchmark"),
-    )
+def parse_config(doc) -> RunConfig:
+    cfg = _build(RunConfig, doc, "config")
     for section in (cfg.model, cfg.train, cfg.adapt, cfg.benchmark, cfg.benchmark.train_shift, cfg.benchmark.test_shift):
         section.validate()
     return cfg

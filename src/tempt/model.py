@@ -94,11 +94,14 @@ class ModelSpec:
 class ParamEntry:
     array: np.ndarray
     group: str
-    trainable: bool
+
+    @property
+    def trainable(self) -> bool:
+        return self.group != GROUP_BN_STATS
 
 
 class ModelParams:
-    """Ordered name -> (array, group, trainable) store for one model.
+    """Ordered name -> (array, group) store for one model.
 
     Batch-norm gamma/beta carry group 'bn_affine', running statistics
     'bn_stats' (never trainable), everything else 'other'. Names are
@@ -109,14 +112,12 @@ class ModelParams:
         self.spec = spec
         self.entries: dict[str, ParamEntry] = {}
 
-    def add(self, name: str, array: np.ndarray, group: str, trainable: bool) -> None:
+    def add(self, name: str, array: np.ndarray, group: str) -> None:
         if name in self.entries:
             raise InvalidSpec(f"duplicate parameter name {name!r}")
         if group not in _GROUP_CODES:
             raise InvalidSpec(f"unknown group {group!r}")
-        if group == GROUP_BN_STATS and trainable:
-            raise InvalidSpec(f"bn_stats entry {name!r} cannot be trainable")
-        self.entries[name] = ParamEntry(np.asarray(array, dtype=np.float32), group, trainable)
+        self.entries[name] = ParamEntry(np.asarray(array, dtype=np.float32), group)
 
     def names(self) -> list[str]:
         return list(self.entries)
@@ -130,24 +131,19 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         out = ModelParams(self.spec)
         for name, e in self.entries.items():
-            out.add(name, e.array.copy(), e.group, e.trainable)
+            out.add(name, e.array.copy(), e.group)
         return out
 
     def leaves(self, trainable: set[str] | None = None) -> dict[str, T.Tensor]:
         """Graph leaves over the shared buffers.
 
         With ``trainable`` given, exactly those names require grad;
-        otherwise each entry's own flag decides. Running statistics never
+        otherwise every trainable entry does. Running statistics never
         require grad.
         """
         out: dict[str, T.Tensor] = {}
         for name, e in self.entries.items():
-            if e.group == GROUP_BN_STATS:
-                rg = False
-            elif trainable is not None:
-                rg = name in trainable
-            else:
-                rg = e.trainable
+            rg = e.trainable and (trainable is None or name in trainable)
             out[name] = T.Tensor._unchecked(e.array, rg, name)
         return out
 
@@ -158,10 +154,10 @@ def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -
 
 
 def _add_bn(params: ModelParams, rng, prefix: str, channels: int) -> None:
-    params.add(f"{prefix}.gamma", np.ones(channels, dtype=np.float32), GROUP_BN_AFFINE, True)
-    params.add(f"{prefix}.beta", np.zeros(channels, dtype=np.float32), GROUP_BN_AFFINE, True)
-    params.add(f"{prefix}.running_mean", np.zeros(channels, dtype=np.float32), GROUP_BN_STATS, False)
-    params.add(f"{prefix}.running_var", np.ones(channels, dtype=np.float32), GROUP_BN_STATS, False)
+    params.add(f"{prefix}.gamma", np.ones(channels, dtype=np.float32), GROUP_BN_AFFINE)
+    params.add(f"{prefix}.beta", np.zeros(channels, dtype=np.float32), GROUP_BN_AFFINE)
+    params.add(f"{prefix}.running_mean", np.zeros(channels, dtype=np.float32), GROUP_BN_STATS)
+    params.add(f"{prefix}.running_var", np.ones(channels, dtype=np.float32), GROUP_BN_STATS)
 
 
 def build_model(spec: ModelSpec, seed: int) -> ModelParams:
@@ -171,7 +167,7 @@ def build_model(spec: ModelSpec, seed: int) -> ModelParams:
     params = ModelParams(spec)
 
     c0 = spec.stages[0][0]
-    params.add("stem.conv.w", _he_uniform(rng, (c0, spec.in_channels, 3, 3), spec.in_channels * 9), GROUP_OTHER, True)
+    params.add("stem.conv.w", _he_uniform(rng, (c0, spec.in_channels, 3, 3), spec.in_channels * 9), GROUP_OTHER)
     _add_bn(params, rng, "stem.bn", c0)
 
     in_ch = c0
@@ -179,18 +175,18 @@ def build_model(spec: ModelSpec, seed: int) -> ModelParams:
         for bi in range(blocks):
             p = f"stage{si}.block{bi}"
             downsample = bi == 0
-            params.add(f"{p}.conv1.w", _he_uniform(rng, (ch, in_ch, 3, 3), in_ch * 9), GROUP_OTHER, True)
+            params.add(f"{p}.conv1.w", _he_uniform(rng, (ch, in_ch, 3, 3), in_ch * 9), GROUP_OTHER)
             _add_bn(params, rng, f"{p}.bn1", ch)
-            params.add(f"{p}.conv2.w", _he_uniform(rng, (ch, ch, 3, 3), ch * 9), GROUP_OTHER, True)
+            params.add(f"{p}.conv2.w", _he_uniform(rng, (ch, ch, 3, 3), ch * 9), GROUP_OTHER)
             _add_bn(params, rng, f"{p}.bn2", ch)
             if downsample:
-                params.add(f"{p}.proj.w", _he_uniform(rng, (ch, in_ch, 1, 1), in_ch), GROUP_OTHER, True)
+                params.add(f"{p}.proj.w", _he_uniform(rng, (ch, in_ch, 1, 1), in_ch), GROUP_OTHER)
                 _add_bn(params, rng, f"{p}.proj_bn", ch)
             in_ch = ch
 
-    params.add("head.fc1.w", _he_uniform(rng, (spec.head_hidden, in_ch), in_ch), GROUP_OTHER, True)
-    params.add("head.fc1.b", np.zeros(spec.head_hidden, dtype=np.float32), GROUP_OTHER, True)
-    params.add("head.out.w", _he_uniform(rng, (spec.num_classes, spec.head_hidden), spec.head_hidden), GROUP_OTHER, True)
+    params.add("head.fc1.w", _he_uniform(rng, (spec.head_hidden, in_ch), in_ch), GROUP_OTHER)
+    params.add("head.fc1.b", np.zeros(spec.head_hidden, dtype=np.float32), GROUP_OTHER)
+    params.add("head.out.w", _he_uniform(rng, (spec.num_classes, spec.head_hidden), spec.head_hidden), GROUP_OTHER)
     return params
 
 
@@ -415,7 +411,9 @@ def load_weights(data: bytes, spec: ModelSpec) -> ModelParams:
             arr, pos = tensor_from_bytes(data, pos)
         except CorruptTensorFile as exc:
             raise CorruptWeights(str(exc)) from exc
-        params.add(name, arr, _CODE_GROUPS[group_code], bool(trainable))
+        params.add(name, arr, _CODE_GROUPS[group_code])
+        if trainable != params[name].trainable:
+            raise CorruptWeights(f"entry {name!r}: trainable flag {trainable} contradicts its group")
     if pos != len(data):
         raise CorruptWeights(f"{len(data) - pos} trailing bytes")
     check_same_arch(params, build_model(spec, 0))

@@ -24,8 +24,6 @@ class Region:
 def median_filter(y: np.ndarray, window: int) -> np.ndarray:
     """Centered per-column running median with edge-inclusive reflect padding."""
     y = np.asarray(y)
-    if y.ndim == 1:
-        return median_filter(y[:, None], window)[:, 0]
     t = y.shape[0]
     if window % 2 == 0:
         raise EvenWindow(f"window must be odd, got {window}")
@@ -44,9 +42,13 @@ def decisions(y: np.ndarray) -> np.ndarray:
     return np.argmax(np.asarray(y), axis=1)
 
 
+def flips(d: np.ndarray) -> np.ndarray:
+    """Per frame transition of a decision sequence, whether the decision changes there."""
+    return d[1:] != d[:-1]
+
+
 def count_decision_changes(y: np.ndarray) -> int:
-    d = decisions(y)
-    return int(np.count_nonzero(d[1:] != d[:-1]))
+    return int(np.count_nonzero(flips(decisions(y))))
 
 
 def normalized_changes(y: np.ndarray) -> float:
@@ -59,11 +61,10 @@ def normalized_changes(y: np.ndarray) -> float:
 
 def _window_scores(y: np.ndarray, window: int) -> np.ndarray:
     """Change count inside [s, s+window) for every start s, stride 1."""
-    d = decisions(y)
-    flips = (d[1:] != d[:-1]).astype(np.int64)
-    csum = np.concatenate(([0], np.cumsum(flips)))
-    starts = np.arange(len(d) - window + 1)
-    # transitions inside the window are flips[s .. s+window-2]
+    changes = flips(decisions(y))
+    csum = np.concatenate(([0], np.cumsum(changes, dtype=np.int64)))
+    starts = np.arange(len(y) - window + 1)
+    # transitions inside the window are changes[s .. s+window-2]
     return csum[starts + window - 1] - csum[starts]
 
 

@@ -269,7 +269,9 @@ def sqrt(x: Tensor) -> Tensor:
         data = np.sqrt(x.data)
 
     def backward(g: Array) -> list[Array | None]:
-        return [g * (0.5 / data)]
+        # 0 where sqrt(x) is 0: the model takes sqrt only of a row's sum of squares,
+        # and on an all-zero row every path from that sum to the loss carries gradient 0
+        return [g * np.divide(0.5, data, out=np.zeros_like(data), where=data > 0)]
 
     return _make(data, "sqrt", (x,), backward)
 
@@ -474,8 +476,17 @@ def _frame_slices(n: int, per_frame: int):
         yield slice(lo, hi), slice(lo * per_frame, hi * per_frame)
 
 
-def _conv_forward(x: Array, kernel: Array, stride: int, pad: int, cols: Array | None) -> Array:
-    """``conv_forward``, also writing the whole-batch patch matrix into ``cols`` when given."""
+def conv_forward(x: Array, kernel: Array, stride: int, pad: int, cols: Array | None = None) -> Array:
+    """The (F,N,H',W') output of a (C,N,H,W) map under a (F,C,kh,kw) kernel.
+
+    It runs FRAME_SLICE frames at a time: each block's patch matrix is
+    built and multiplied before the next one, and its GEMM writes
+    straight into its columns of the output. Every output column is the
+    same dot product under any slicing. The whole batch's patch matrix is
+    also written into ``cols`` when given. Unchecked and untracked:
+    ``conv2d`` validates the shapes, and the model's tape-free forward
+    relies on its spec.
+    """
     c, n, h, w = x.shape
     f, _, kh, kw = kernel.shape
     oh, ow = _conv_out_hw(h, w, kh, kw, stride, pad)
@@ -485,19 +496,6 @@ def _conv_forward(x: Array, kernel: Array, stride: int, pad: int, cols: Array | 
         block = _im2col(x[:, frames], kh, kw, stride, pad, oh, ow, None if cols is None else cols[:, part])
         np.matmul(wmat, block, out=out[:, part])
     return out.reshape(f, n, oh, ow)
-
-
-def conv_forward(x: Array, kernel: Array, stride: int, pad: int) -> Array:
-    """The (F,N,H',W') output of a (C,N,H,W) map under a (F,C,kh,kw) kernel.
-
-    It runs FRAME_SLICE frames at a time: each block's patch matrix is
-    built and multiplied before the next one, and its GEMM writes
-    straight into its columns of the output. Every output column is the
-    same dot product under any slicing. Unchecked and untracked:
-    ``conv2d`` validates the shapes, and the model's tape-free forward
-    relies on its spec.
-    """
-    return _conv_forward(x, kernel, stride, pad, None)
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -521,7 +519,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         raise ShapeMismatch(f"conv2d input {h}x{w} is not stride {stride} x its {oh}x{ow} output")
     # keep the whole-batch patch matrix only when the kernel gradient will be needed
     cols = np.empty((c * kh * kw, n * oh * ow), dtype=np.float32) if kernel.requires_grad else None
-    out = _conv_forward(x.data, kernel.data, stride, pad, cols)
+    out = conv_forward(x.data, kernel.data, stride, pad, cols)
 
     def backward(g: Array) -> list[Array | None]:
         gmat = g.reshape(f, n * oh * ow)

@@ -41,7 +41,7 @@ def test_trainable_subset_is_bn_affine(tiny_params):
 
 def test_trainable_subset_requires_bn(tiny_spec):
     params = model.ModelParams(tiny_spec)
-    params.add("w", np.ones(3, dtype=np.float32), model.GROUP_OTHER, True)
+    params.add("w", np.ones(3, dtype=np.float32), model.GROUP_OTHER)
     with pytest.raises(NoAdaptableParams):
         adapt.trainable_subset(params, "tempt")
 

@@ -42,6 +42,12 @@ def test_rows_and_summary_layout(mini):
         assert 0.0 <= row["norm_changes_after"] <= 1.0
 
 
+def test_serial_run_releases_its_videos_and_params(mini):
+    params, videos, adapt_cfg = mini
+    benchmark.run_benchmark(params, videos[:1], adapt_cfg, repeats=1, jobs=1, master_seed=5)
+    assert benchmark._WORKER == {}
+
+
 def test_static_method_zero_variance(mini):
     params, videos, adapt_cfg = mini
     res = benchmark.run_benchmark(params, videos, adapt_cfg, repeats=3, jobs=1, master_seed=5)

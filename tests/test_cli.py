@@ -11,7 +11,7 @@ import pytest
 
 from tempt import cli
 from tempt import tensor as T
-from tempt.errors import ArchMismatch, ConfigError
+from tempt.errors import ArchMismatch, ConfigError, CorruptWeights
 
 TINY_CONFIG = {
     "model": {"input_hw": 8, "stages": [[4, 1], [8, 1]], "num_classes": 8, "head_hidden": 8, "head_scale": 16.0},
@@ -245,6 +245,16 @@ def test_adapt_methods_differ_only_in_method_fields(capsys, workdir, trained_wei
     assert docs["tempt"]["regions"]
 
 
+def test_adapt_echoes_the_config_it_ran(capsys, workdir, trained_weights):
+    video = make_video_file(workdir)
+    argv = ["adapt", "--weights", str(trained_weights), "--video", str(video), "--config", str(workdir / "config.json")]
+    code, out = run_cli(capsys, argv + ["--method", "tent", "--seed", "5"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["config"]["method"], doc["config"]["seed"]) == ("tent", 5)
+    assert doc["run_config"]["adapt"] == doc["config"]
+
+
 def test_adapt_aborted_exits_4(capsys, workdir, trained_weights, monkeypatch):
     from tempt import adapt as adapt_mod
     from tempt.errors import NonFiniteLoss
@@ -280,6 +290,19 @@ def test_train_nonfinite_activation_exits_3(capsys, workdir, nan_in_tracked_relu
     assert not (workdir / "nan.twgt").exists()
 
 
+@pytest.mark.parametrize("head_hidden", [2, 4])
+def test_train_with_all_zero_hidden_rows_exits_0(tmp_path, head_hidden):
+    """So few hidden units that relu zeroes some frames' whole hidden layer during training."""
+    doc = {
+        "model": {"input_hw": 8, "stages": [[4, 1], [8, 1]], "head_hidden": head_hidden},
+        "train": {"epochs": 2, "batch_size": 16},
+        "benchmark": {"train_videos": 8, "val_videos": 1, "test_videos": 1, "frames_per_video": 100, "min_segment": 10},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "w.twgt")]) == 0
+
+
 def test_train_overflowing_gradient_exits_3(capsys, workdir, monkeypatch):
     # relu's gradient is not scanned; a mask that scales it past float32 must still end training at the next op
     monkeypatch.setattr(T, "_relu_mask", lambda x: np.where(x > 0, np.float32(1e38), np.float32(0.0)))
@@ -304,6 +327,22 @@ def test_eval_weights_for_another_model_exits_2(capsys, workdir, trained_weights
     argv = ["eval", "--weights", str(trained_weights), "--config", str(deeper)]
     args = cli.build_parser().parse_args(argv)
     with pytest.raises(ArchMismatch):
+        args.fn(args)
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_trainable_byte_contradicting_its_group_exits_2(capsys, workdir, trained_weights):
+    blob = bytearray(trained_weights.read_bytes())
+    # first record: magic(4) + version(1) + count(4) + name_len(2) -> name, group byte, trainable byte
+    name_len = int.from_bytes(blob[9:11], "little")
+    blob[12 + name_len] ^= 1
+    flipped = workdir / "flipped_trainable.twgt"
+    flipped.write_bytes(bytes(blob))
+    argv = ["eval", "--weights", str(flipped), "--config", str(workdir / "config.json")]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(CorruptWeights, match="trainable"):
         args.fn(args)
     code, out = run_cli(capsys, argv)
     assert code == 2

@@ -90,6 +90,26 @@ def test_invalid_config_rejected_at_load(tmp_path, doc):
     assert not (tmp_path / "w.twgt").exists()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"benchmark": {"train_shift": []}},
+        {"benchmark": {"train_shift": {"brightness": ["a", "b"]}}},
+        {"model": {"stages": [[8.5, 1]]}},
+        {"model": {"stages": [[8, 1.5]]}},
+        {"model": []},
+    ],
+    ids=["list-shift", "string-shift-bounds", "float-stage-channels", "float-stage-blocks", "list-section"],
+)
+def test_value_of_another_json_type_than_its_default_rejected(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        config.load_config(path)
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "w.twgt")]) == 2
+    assert not (tmp_path / "w.twgt").exists()
+
+
 @pytest.mark.parametrize("case", ["directory", "utf16-bom", "unreadable"])
 def test_unreadable_config_raises_config_error(tmp_path, monkeypatch, case):
     path = tmp_path / "config.json"

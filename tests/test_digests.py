@@ -16,6 +16,7 @@ NAMES = [f"forward_all@{chunk}" for chunk in (16, 24, 128, 384, 400)] + [
     "pretrain_epoch.weights",
     "train_step.grads",
     "adapt_step.grads",
+    "config.default",
 ]
 
 

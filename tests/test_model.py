@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from tempt import adapt, model, reference, tten
+from tempt import adapt, losses, model, reference, tten
 from tempt import tensor as T
 from tempt.errors import (
     ArchMismatch,
@@ -190,6 +191,19 @@ def test_zero_head_row_rejected(tiny_spec, rng):
     params["head.out.w"].array[0] = 0.0
     with pytest.raises(NormalizationDegenerate):
         model.forward(params, rng.uniform(size=(1, 3, 8, 8)).astype(np.float32))
+
+
+def test_all_zero_hidden_row_gives_finite_gradients(tiny_spec, rng):
+    """A frame whose hidden layer is all zero: the head's sqrt sees 0 and its backward must not divide by it."""
+    params = model.build_model(tiny_spec, seed=0)
+    params["head.fc1.b"].array[:] = -1e3  # relu zeroes every hidden unit of every frame
+    x = rng.uniform(-1, 1, size=(4, 3, 8, 8)).astype(np.float32)
+    leaves = params.leaves()
+    z = model.forward(params, x, mode="train", leaves=leaves)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grads = T.grads_by_name(leaves, T.backward(losses.cross_entropy(z, np.arange(4) % tiny_spec.num_classes)))
+    assert grads and all(np.isfinite(g).all() for g in grads.values())
 
 
 def test_forward_agrees_with_reference(tiny_spec, tiny_params, rng):
