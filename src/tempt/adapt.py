@@ -15,7 +15,7 @@ import numpy as np
 
 from . import losses, model, temporal
 from . import tensor as T
-from .errors import NoAdaptableParams, NonFiniteValue, TooFewFrames
+from .errors import InvalidRange, NoAdaptableParams, NonFiniteValue, TooFewFrames
 from .metrics import evaluate_logits
 from .optim import AdamWConfig, AdamWState, adamw_step
 
@@ -40,28 +40,23 @@ class AdaptConfig:
     region_sample: bool = False
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
+            raise InvalidRange(f"method must be one of {METHODS}, got {self.method!r}")
+        for name in ("steps", "seed"):
+            if getattr(self, name) < 0:
+                raise InvalidRange(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+            raise InvalidRange(f"lr must be > 0, got {self.lr}")
         if self.median_window < 1 or self.median_window % 2 == 0:
-            raise ValueError(f"median_window must be odd and >= 1, got {self.median_window}")
+            raise InvalidRange(f"median_window must be odd and >= 1, got {self.median_window}")
         if self.region_window < 2:
-            raise ValueError(f"region_window must be >= 2, got {self.region_window}")
+            raise InvalidRange(f"region_window must be >= 2, got {self.region_window}")
         if self.num_regions < 1:
-            raise ValueError(f"num_regions must be >= 1, got {self.num_regions}")
+            raise InvalidRange(f"num_regions must be >= 1, got {self.num_regions}")
         if self.batch_frames_cap < 1:
-            raise ValueError("batch_frames_cap must be >= 1")
+            raise InvalidRange("batch_frames_cap must be >= 1")
+        self.adamw()
 
     def adamw(self) -> AdamWConfig:
         return AdamWConfig(self.lr, self.beta1, self.beta2, self.eps, self.weight_decay)
@@ -135,7 +130,6 @@ def adapt_video(
     prediction entropy over a fresh random frame batch per step. Both
     re-run the full sequence afterwards for the report.
     """
-    config.validate()
     t_frames = frames.shape[0]
     if config.method == "tempt" and t_frames < 2:
         raise TooFewFrames(f"tempt needs at least two frames, got {t_frames}")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .adapt import AdaptConfig, adapt_video
 from .data import DEFAULT_PATCH, ShiftRanges, SyntheticVideo, class_templates, make_videos
+from .errors import InvalidRange
 from .model import ModelParams
 
 METHOD_ORDER = ("none", "tent", "tempt")
@@ -39,12 +40,19 @@ class BenchmarkConfig:
     repeats: int = 5
     master_seed: int = 2024
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+            raise InvalidRange("repeats must be >= 1")
         for name in ("train_videos", "val_videos", "test_videos", "frames_per_video", "min_segment"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise InvalidRange(f"{name} must be >= 1")
+        if self.frames_per_video < 2 * self.min_segment:
+            raise InvalidRange(f"frames_per_video {self.frames_per_video} must be >= 2*min_segment={2 * self.min_segment}")
+        if not 0 <= self.test_glitch_rate <= 1:
+            raise InvalidRange(f"test_glitch_rate must be in [0, 1], got {self.test_glitch_rate}")
+        for name in ("noise_sigma", "glitch_scale", "master_seed"):
+            if getattr(self, name) < 0:
+                raise InvalidRange(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def make_split(cfg: BenchmarkConfig, kind: str, hw: int) -> list[SyntheticVideo]:

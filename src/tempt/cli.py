@@ -101,23 +101,11 @@ def cmd_train(args) -> int:
 
 
 def _write_trace(path: Path, report) -> None:
-    k = report.logits_before.shape[1]
-    cols = (
-        ["frame_id"]
-        + [f"before_{i}" for i in range(k)]
-        + [f"after_{i}" for i in range(k)]
-        + ["argmax_before", "argmax_after"]
-    )
-    lines = [",".join(cols)]
-    pb = np.argmax(report.logits_before, axis=1)
-    pa = np.argmax(report.logits_after, axis=1)
-    for t in range(report.logits_before.shape[0]):
-        row = [str(t)]
-        row += [f"{v:.6f}" for v in report.logits_before[t]]
-        row += [f"{v:.6f}" for v in report.logits_after[t]]
-        row += [str(int(pb[t])), str(int(pa[t]))]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    before, after = report.logits_before, report.logits_after
+    k = before.shape[1]
+    cols = ["frame_id", *(f"{side}_{i}" for side in ("before", "after") for i in range(k)), "argmax_before", "argmax_after"]
+    rows = np.column_stack([np.arange(len(before)), before, after, before.argmax(1), after.argmax(1)])
+    np.savetxt(path, rows, fmt=["%d"] + ["%.6f"] * (2 * k) + ["%d"] * 2, delimiter=",", header=",".join(cols), comments="")
 
 
 def cmd_adapt(args) -> int:
@@ -206,6 +194,8 @@ def cmd_benchmark(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     seed = _resolve_seed(args.seed, 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     params = None
     if args.config and not args.weights:
         raise ConfigError("gradcheck --config gives the model of --weights; pass both or neither")

@@ -2,14 +2,15 @@
 
 One document with model/train/adapt/benchmark sections. Unknown keys are
 fatal so that an echoed config always describes the run completely, each
-value must have the JSON type of its field's default, and every section is
-validated at load time.
+value must have the JSON type of its field's default, and each section's
+type checks its own fields when it is built.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 from .adapt import AdaptConfig
@@ -47,7 +48,7 @@ def _typed(default, value, path: str):
 
     A dataclass default takes a JSON object, a tuple default a list whose
     elements each take the type of the default's first element, and a
-    scalar default a JSON value of its own type.
+    scalar default a finite JSON value of its own type.
     """
     if dataclasses.is_dataclass(default):
         return _build(type(default), value, path)
@@ -57,14 +58,13 @@ def _typed(default, value, path: str):
         return tuple(_typed(default[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if type(value) not in _SCALAR_TYPES[type(default)]:
         raise ConfigError(f"{path} must be {type(default).__name__}, got {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        raise ConfigError(f"{path} must be finite, got {value!r}")
     return value
 
 
 def parse_config(doc) -> RunConfig:
-    cfg = _build(RunConfig, doc, "config")
-    for section in (cfg.model, cfg.train, cfg.adapt, cfg.benchmark, cfg.benchmark.train_shift, cfg.benchmark.test_shift):
-        section.validate()
-    return cfg
+    return _build(RunConfig, doc, "config")
 
 
 def load_config(path: str | Path) -> RunConfig:

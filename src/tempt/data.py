@@ -101,7 +101,7 @@ class ShiftRanges:
     contrast: tuple[float, float] = (1.0, 1.0)
     channel_gain: tuple[float, float] = (1.0, 1.0)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, (lo, hi) in (
             ("brightness", self.brightness),
             ("contrast", self.contrast),
@@ -113,7 +113,6 @@ class ShiftRanges:
             raise InvalidRange("contrast and channel_gain must stay positive")
 
     def sample(self, rng: np.random.Generator) -> Shift:
-        self.validate()
         return Shift(
             brightness=float(rng.uniform(*self.brightness)),
             contrast=float(rng.uniform(*self.contrast)),
@@ -133,6 +132,10 @@ class SyntheticVideo:
     glitch_rate: float = 0.0
     glitch_scale: float = 6.0
     glitch_frames: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.labels.shape != self.frames.shape[:1]:
+            raise LengthMismatch(f"{self.labels.size} labels for {self.frames.shape[0]} frames")
 
 
 def _segment_labels(rng: np.random.Generator, t: int, min_segment: int, k: int):
@@ -311,12 +314,9 @@ def load_video(path: str | Path) -> SyntheticVideo:
     frames = read_tten(path)
     try:
         sidecar = json.loads(sidecar_path.read_text())
-        labels = np.asarray(sidecar["labels"], dtype=np.int64)
-        if labels.shape != frames.shape[:1]:
-            raise LengthMismatch(f"{labels.size} labels for {frames.shape[0]} frames in {sidecar_path}")
         return SyntheticVideo(
             frames=frames.astype(np.float32),
-            labels=labels,
+            labels=np.asarray(sidecar["labels"], dtype=np.int64),
             segments=[tuple(s) for s in sidecar["segments"]],
             shift=Shift.from_json_dict(sidecar["shift"]),
             noise_sigma=sidecar["noise_sigma"],

@@ -70,7 +70,7 @@ class ModelSpec:
     head_hidden: int = 64
     head_scale: float = 16.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_classes < 2:
             raise InvalidSpec(f"num_classes must be >= 2, got {self.num_classes}")
         if self.in_channels < 1:
@@ -81,9 +81,7 @@ class ModelSpec:
             if ch < 1 or blocks < 1:
                 raise InvalidSpec(f"bad stage ({ch}, {blocks})")
         if self.input_hw % (2 ** len(self.stages)) != 0:
-            raise InvalidSpec(
-                f"input_hw {self.input_hw} not divisible by 2^{len(self.stages)}"
-            )
+            raise InvalidSpec(f"input_hw {self.input_hw} not divisible by 2^{len(self.stages)}")
         if self.head_hidden < 1:
             raise InvalidSpec("head_hidden must be >= 1")
         if self.head_scale <= 0:
@@ -162,7 +160,6 @@ def _add_bn(params: ModelParams, rng, prefix: str, channels: int) -> None:
 
 def build_model(spec: ModelSpec, seed: int) -> ModelParams:
     """He-uniform conv/linear init, identity batch-norm, seed-deterministic."""
-    spec.validate()
     rng = np.random.Generator(np.random.PCG64(seed))
     params = ModelParams(spec)
 

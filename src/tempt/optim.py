@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteGradient
+from .errors import InvalidRange, NonFiniteGradient
 
 
 @dataclass
@@ -16,6 +16,16 @@ class AdamWConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.01
+
+    def __post_init__(self) -> None:
+        for name in ("lr", "weight_decay"):  # lr 0 is allowed: pretraining with it moves only the batch-norm statistics
+            if getattr(self, name) < 0:
+                raise InvalidRange(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise InvalidRange(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.eps <= 0:
+            raise InvalidRange(f"eps must be > 0, got {self.eps}")
 
 
 @dataclass

@@ -10,7 +10,7 @@ import numpy as np
 from . import losses, model
 from . import tensor as T
 from .data import FrameDataset
-from .errors import DivergedLoss, EmptyClass, NonFiniteValue
+from .errors import DivergedLoss, EmptyClass, InvalidRange, NonFiniteValue
 from .metrics import macro_f1
 from .optim import AdamWConfig, AdamWState, adamw_step
 
@@ -28,21 +28,19 @@ class TrainConfig:
     margin_scale: float = 0.5
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise InvalidRange(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr < 0:  # lr 0 is allowed: the weights stay, only the batch-norm statistics move
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+            raise InvalidRange(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr_step_epochs < 1:
-            raise ValueError(f"lr_step_epochs must be >= 1, got {self.lr_step_epochs}")
+            raise InvalidRange(f"lr_step_epochs must be >= 1, got {self.lr_step_epochs}")
         if self.lr_gamma <= 0:
-            raise ValueError(f"lr_gamma must be > 0, got {self.lr_gamma}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.margin_scale < 0:
-            raise ValueError("margin_scale must be >= 0")
+            raise InvalidRange(f"lr_gamma must be > 0, got {self.lr_gamma}")
+        for name in ("margin_scale", "seed"):
+            if getattr(self, name) < 0:
+                raise InvalidRange(f"{name} must be >= 0, got {getattr(self, name)}")
+        AdamWConfig(self.lr, weight_decay=self.weight_decay)
 
 
 @dataclass
@@ -72,7 +70,6 @@ def train(spec: model.ModelSpec, dataset: FrameDataset, cfg: TrainConfig) -> Tra
     momentum 0.1), the learning rate follows a step-decay schedule, and
     everything is deterministic for a fixed seed.
     """
-    cfg.validate()
     params = model.build_model(spec, cfg.seed)
     counts = class_counts(dataset, spec.num_classes, cfg.margin_scale)
     rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))

@@ -45,7 +45,10 @@ def tensor_from_bytes(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     nbytes = 4 * count
     if len(data) - pos < nbytes:
         raise CorruptTensorFile("truncated tensor payload")
-    arr = np.frombuffer(data, dtype="<f4", count=count, offset=pos).reshape(shape).copy()
+    try:  # numpy refuses more than 64 dims, and a zero-size shape whose other dims overflow its index type
+        arr = np.frombuffer(data, dtype="<f4", count=count, offset=pos).reshape(shape).copy()
+    except ValueError as exc:
+        raise CorruptTensorFile(f"unusable tensor shape of rank {rank}: {exc}") from None
     return arr, pos + nbytes
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -427,6 +428,54 @@ def test_bad_seed_env_exits_2(capsys, workdir, monkeypatch):
     assert code == 2
     assert out == ""
     assert not weights.exists()
+
+
+# the config field each command reads its seed from; gradcheck's seed is not a config field
+SEED_FIELDS = {"train": ("train", "seed"), "adapt": ("adapt", "seed"), "benchmark": ("benchmark", "master_seed")}
+
+
+@pytest.mark.parametrize(
+    "command,source",
+    [(c, s) for c in ("train", "adapt", "benchmark", "gradcheck") for s in ("flag", "env", "config") if (c, s) != ("gradcheck", "config")],
+)
+def test_negative_seed_exits_2(capsys, workdir, trained_weights, monkeypatch, command, source):
+    config = workdir / "config.json"
+    if source == "config":
+        section, field = SEED_FIELDS[command]
+        doc = json.loads(config.read_text())
+        doc[section] = {**doc[section], field: -2}
+        config = workdir / f"negative-{section}-seed.json"
+        config.write_text(json.dumps(doc))
+    out_path = workdir / f"negative-seed-{command}-{source}"
+    argv = {
+        "train": ["train", "--config", str(config), "--out", str(out_path)],
+        "adapt": ["adapt", "--weights", str(trained_weights), "--video", str(make_video_file(workdir)), "--config", str(config)],
+        "benchmark": ["benchmark", "--weights", str(trained_weights), "--config", str(config), "--out", str(out_path)],
+        "gradcheck": ["gradcheck", "--loss", "ce"],
+    }[command]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "env":
+        monkeypatch.setenv("TEMPT_SEED", "-3")
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert not out_path.exists()
+
+
+def test_trace_csv_bytes(tmp_path):
+    report = SimpleNamespace(
+        logits_before=np.array([[-0.0, 1e30], [0.5, -1.25], [2.0000005, 3.0]], dtype=np.float32),
+        logits_after=np.array([[0.25, -0.0], [1e-7, -7.5], [3.0, 3.0]], dtype=np.float32),
+    )
+    path = tmp_path / "trace.csv"
+    cli._write_trace(path, report)
+    assert path.read_bytes() == (
+        b"frame_id,before_0,before_1,after_0,after_1,argmax_before,argmax_after\n"
+        b"0,-0.000000,1000000015047466219876688855040.000000,0.250000,-0.000000,1,0\n"
+        b"1,0.500000,-1.250000,0.000000,-7.500000,0,0\n"
+        b"2,2.000000,3.000000,3.000000,3.000000,1,0\n"
+    )
 
 
 @pytest.mark.parametrize("case", ["train-out", "train-log", "adapt-trace", "benchmark-out"])

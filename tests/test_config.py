@@ -9,17 +9,17 @@ from pathlib import Path
 import pytest
 
 from tempt import cli, config
+from tempt.adapt import AdaptConfig
 from tempt.benchmark import BenchmarkConfig
-from tempt.errors import ConfigError
+from tempt.errors import ConfigError, InvalidRange
+from tempt.training import TrainConfig
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 
 def test_shipped_default_config_loads():
     assert DEFAULT_CONFIG.is_file(), f"{DEFAULT_CONFIG} is missing; README, CLI examples and acceptance read it"
-    cfg = config.load_config(DEFAULT_CONFIG)
-    for section in (cfg.model, cfg.train, cfg.adapt, cfg.benchmark):
-        section.validate()
+    config.load_config(DEFAULT_CONFIG)
 
 
 def test_shipped_default_config_keeps_the_test_split():
@@ -59,6 +59,16 @@ def test_shipped_train_shift_holds_out_the_strongest_test_shifts():
         {"adapt": {"eps": 0}},
         {"adapt": {"weight_decay": -0.01}},
         {"model": {"in_channels": 0}},
+        {"adapt": {"lr": float("nan")}},
+        {"benchmark": {"glitch_scale": float("inf")}},
+        {"benchmark": {"test_glitch_rate": -0.5}},
+        {"benchmark": {"test_glitch_rate": 1.5}},
+        {"benchmark": {"glitch_scale": -1.0}},
+        {"benchmark": {"noise_sigma": -0.01}},
+        {"benchmark": {"frames_per_video": 49, "min_segment": 25}},
+        {"train": {"seed": -2}},
+        {"adapt": {"seed": -2}},
+        {"benchmark": {"master_seed": -1}},
     ],
     ids=[
         "unknown-method",
@@ -79,6 +89,16 @@ def test_shipped_train_shift_holds_out_the_strongest_test_shifts():
         "zero-adapt-eps",
         "negative-adapt-weight-decay",
         "zero-in-channels",
+        "nan-adapt-lr",
+        "infinite-glitch-scale",
+        "negative-glitch-rate",
+        "glitch-rate-above-one",
+        "negative-glitch-scale",
+        "negative-noise-sigma",
+        "video-shorter-than-two-segments",
+        "negative-train-seed",
+        "negative-adapt-seed",
+        "negative-master-seed",
     ],
 )
 def test_invalid_config_rejected_at_load(tmp_path, doc):
@@ -88,6 +108,24 @@ def test_invalid_config_rejected_at_load(tmp_path, doc):
         config.load_config(path)
     assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "w.twgt")]) == 2
     assert not (tmp_path / "w.twgt").exists()
+
+
+@pytest.mark.parametrize(
+    "section,field,value",
+    [
+        (TrainConfig(), "seed", -1),
+        (TrainConfig(), "weight_decay", -1e-4),
+        (AdaptConfig(), "method", "foo"),
+        (AdaptConfig(), "beta2", 1.0),
+        (BenchmarkConfig(), "master_seed", -1),
+        (BenchmarkConfig(), "test_glitch_rate", 2.0),
+    ],
+    ids=["train-seed", "train-weight-decay", "adapt-method", "adapt-beta2", "master-seed", "glitch-rate"],
+)
+def test_override_checked_when_built(section, field, value):
+    """A config changed after loading (a CLI override, a per-task copy) is checked like a loaded one."""
+    with pytest.raises(InvalidRange, match=field):
+        dataclasses.replace(section, **{field: value})
 
 
 @pytest.mark.parametrize(

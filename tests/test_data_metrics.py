@@ -76,9 +76,9 @@ def test_video_rejects_too_short():
 
 def test_shift_ranges_validation():
     with pytest.raises(InvalidRange):
-        data.ShiftRanges(contrast=(1.2, 0.8)).validate()
+        data.ShiftRanges(contrast=(1.2, 0.8))
     with pytest.raises(InvalidRange):
-        data.ShiftRanges(channel_gain=(-0.1, 1.0)).validate()
+        data.ShiftRanges(channel_gain=(-0.1, 1.0))
 
 
 def test_make_videos_master_seed(tmp_path):

@@ -86,11 +86,11 @@ def test_init_contract(tiny_params):
 
 def test_invalid_specs():
     with pytest.raises(InvalidSpec):
-        model.ModelSpec(num_classes=1).validate()
+        model.ModelSpec(num_classes=1)
     with pytest.raises(InvalidSpec):
-        model.ModelSpec(input_hw=30).validate()  # not divisible by 2^3
+        model.ModelSpec(input_hw=30)  # not divisible by 2^3
     with pytest.raises(InvalidSpec):
-        model.ModelSpec(stages=()).validate()
+        model.ModelSpec(stages=())
 
 
 def test_forward_shape_and_bound(tiny_spec, tiny_params, rng):
@@ -316,6 +316,16 @@ def test_tensor_dims_product_is_exact(tiny_spec, tiny_params):
         tten.tensor_from_bytes(record)
     with pytest.raises(CorruptWeights, match="payload"):
         model.load_weights(_wrapping_dims(model.save_weights(tiny_params)), spec=tiny_spec)
+    # past numpy's 64 dims, and a zero-size shape whose other dims overflow numpy's index type
+    blob = model.save_weights(tiny_params)
+    first = blob.index(tten.MAGIC)
+    _, end = tten.tensor_from_bytes(blob, first)
+    for shape in [(1,) * 65, (4, 2**31, 2**31, 0)]:
+        record = tten.MAGIC + struct.pack(f"<BBB{len(shape)}I", tten.VERSION, tten.DTYPE_F32, len(shape), *shape) + bytes(4)
+        with pytest.raises(CorruptTensorFile):
+            tten.tensor_from_bytes(record)
+        with pytest.raises(CorruptWeights):
+            model.load_weights(blob[:first] + record + blob[end:], spec=tiny_spec)
 
 
 def test_weights_for_another_spec_rejected(tiny_spec, tiny_params):

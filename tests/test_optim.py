@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tempt.errors import NonFiniteGradient
+from tempt.errors import InvalidRange, NonFiniteGradient
 from tempt.optim import AdamWConfig, AdamWState, adamw_step
 
 
@@ -75,3 +75,11 @@ def test_state_tracks_step_count():
     for i in range(3):
         adamw_step(values, {"w": np.ones(1, dtype=np.float32)}, state, AdamWConfig(lr=1e-3, weight_decay=0.0))
     assert state.step == 3
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"lr": -1e-3}, {"beta1": 1.0}, {"beta2": -0.1}, {"eps": 0.0}, {"weight_decay": -0.01}], ids=lambda kw: next(iter(kw))
+)
+def test_out_of_range_config_rejected_when_built(kwargs):
+    with pytest.raises(InvalidRange):
+        AdamWConfig(**kwargs)
