@@ -14,12 +14,10 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .adapt import AdaptConfig, adapt_video
+from .adapt import METHODS, AdaptConfig, adapt_video
 from .data import DEFAULT_PATCH, ShiftRanges, SyntheticVideo, class_templates, make_videos
 from .errors import InvalidRange
 from .model import ModelParams
-
-METHOD_ORDER = ("none", "tent", "tempt")
 
 DEFAULT_TRAIN_SHIFT = ShiftRanges(brightness=(-0.08, 0.08), contrast=(0.9, 1.1), channel_gain=(0.9, 1.1))
 DEFAULT_TEST_SHIFT = ShiftRanges(brightness=(-0.30, 0.30), contrast=(0.55, 1.45), channel_gain=(0.55, 1.45))
@@ -99,7 +97,7 @@ def _seed_free(method: str, adapt_cfg: AdaptConfig) -> bool:
 
 
 def _task_seed(master_seed: int, video_idx: int, method: str, repeat: int) -> int:
-    mi = METHOD_ORDER.index(method)
+    mi = METHODS.index(method)
     return int(np.random.SeedSequence((master_seed, 3, video_idx, mi, repeat)).generate_state(1)[0])
 
 
@@ -187,7 +185,7 @@ def run_benchmark(
     videos: list[SyntheticVideo],
     adapt_cfg: AdaptConfig,
     repeats: int = 5,
-    methods: tuple[str, ...] = METHOD_ORDER,
+    methods: tuple[str, ...] = METHODS,
     jobs: int = 1,
     master_seed: int = 2024,
     model_name: str = "cnn",
@@ -198,8 +196,6 @@ def run_benchmark(
     is evaluated once per video and its row replicated to every repeat.
     Other adaptation repeats differ only through their derived seeds.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
     tasks: list[tuple[int, str, int, int, AdaptConfig]] = []
     for vi in range(len(videos)):
         for method in methods:
@@ -239,7 +235,7 @@ def run_benchmark(
         if _seed_free(row["method"], adapt_cfg):
             for r in range(1, repeats):
                 expanded.append({**row, "repeat": r})
-    expanded.sort(key=lambda r: (r["video"], METHOD_ORDER.index(r["method"]), r["repeat"]))
+    expanded.sort(key=lambda r: (r["video"], METHODS.index(r["method"]), r["repeat"]))
 
     summary = _aggregate(expanded, methods)
     table = {

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adapt import adapt_video, forward_all
+from .adapt import METHODS, adapt_video, forward_all
 from .benchmark import make_split, run_benchmark
 from .config import RunConfig, load_config, resolved_dict
 from .data import FrameDataset, load_video
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--video", required=True, help="video tensor file (with .json sidecar)")
     p.add_argument("--config", required=True)
-    p.add_argument("--method", choices=["tempt", "tent", "none"], default=None)
+    p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--trace", default=None, help="write per-frame before/after logits CSV")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_adapt)
@@ -260,9 +260,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
     except DivergedLoss as exc:
         log.error("training diverged: %s", exc)
         return EXIT_DIVERGED

@@ -139,8 +139,6 @@ class SyntheticVideo:
 
 
 def _segment_labels(rng: np.random.Generator, t: int, min_segment: int, k: int):
-    if t < 2 * min_segment:
-        raise InvalidRange(f"T={t} must be >= 2*min_segment={2 * min_segment}")
     lengths: list[int] = []
     remaining = t
     while remaining >= 2 * min_segment:
@@ -190,10 +188,6 @@ def generate_video(
     k, _, patch, _ = templates.shape
     if patch > hw:
         raise InvalidRange(f"template patch {patch} larger than canvas {hw}")
-    if noise_sigma < 0:
-        raise InvalidRange("noise_sigma must be >= 0")
-    if not (0.0 <= glitch_rate <= 1.0):
-        raise InvalidRange("glitch_rate must be in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))
     labels, segments = _segment_labels(rng, t, min_segment, k)
     concrete_shift = shift.sample(rng) if isinstance(shift, ShiftRanges) else shift

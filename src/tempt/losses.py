@@ -23,12 +23,6 @@ class ClassCounts:
     n: tuple[int, ...]
     margin_scale: float = 0.5
 
-    def __post_init__(self):
-        if any(c < 1 for c in self.n):
-            raise ValueError(f"class counts must be >= 1, got {self.n}")
-        if self.margin_scale < 0:
-            raise ValueError(f"margin_scale must be >= 0, got {self.margin_scale}")
-
     def margins(self) -> np.ndarray:
         return (self.margin_scale / np.power(self.n, 0.25)).astype(np.float32)
 

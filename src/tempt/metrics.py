@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import LabelOutOfRange, LengthMismatch
-from .temporal import flips
+from .temporal import change_rate
 
 
 @dataclass
@@ -47,12 +47,10 @@ def macro_f1(preds, labels, k: int) -> EvalResult:
         recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
         f1 = np.where(precision + recall > 0, 2 * precision * recall / (precision + recall), 0.0)
 
-    changes = int(np.count_nonzero(flips(preds)))
-    nc = changes / (preds.size - 1) if preds.size > 1 else 0.0
     return EvalResult(
         macro_f1=float(f1.mean()),
         per_class_f1=[float(v) for v in f1],
-        norm_changes=nc,
+        norm_changes=change_rate(preds),
         confusion=confusion,
     )
 

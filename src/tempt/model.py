@@ -27,6 +27,7 @@ non-finite values once.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -111,10 +112,6 @@ class ModelParams:
         self.entries: dict[str, ParamEntry] = {}
 
     def add(self, name: str, array: np.ndarray, group: str) -> None:
-        if name in self.entries:
-            raise InvalidSpec(f"duplicate parameter name {name!r}")
-        if group not in _GROUP_CODES:
-            raise InvalidSpec(f"unknown group {group!r}")
         self.entries[name] = ParamEntry(np.asarray(array, dtype=np.float32), group)
 
     def names(self) -> list[str]:
@@ -146,44 +143,46 @@ class ModelParams:
         return out
 
 
-def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+_BN_PARTS = {"gamma": GROUP_BN_AFFINE, "beta": GROUP_BN_AFFINE, "running_mean": GROUP_BN_STATS, "running_var": GROUP_BN_STATS}
 
 
-def _add_bn(params: ModelParams, rng, prefix: str, channels: int) -> None:
-    params.add(f"{prefix}.gamma", np.ones(channels, dtype=np.float32), GROUP_BN_AFFINE)
-    params.add(f"{prefix}.beta", np.zeros(channels, dtype=np.float32), GROUP_BN_AFFINE)
-    params.add(f"{prefix}.running_mean", np.zeros(channels, dtype=np.float32), GROUP_BN_STATS)
-    params.add(f"{prefix}.running_var", np.ones(channels, dtype=np.float32), GROUP_BN_STATS)
+def _blocks(spec: ModelSpec):
+    """(name prefix, in channels, channels, stride) of each residual block; a stage's first block downsamples."""
+    in_ch = spec.stages[0][0]
+    for si, (ch, blocks) in enumerate(spec.stages):
+        for bi in range(blocks):
+            yield f"stage{si}.block{bi}", in_ch, ch, 2 if bi == 0 else 1
+            in_ch = ch
+
+
+def layout(spec: ModelSpec) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, group) of every entry of a ``spec`` model, in its stored order."""
+    def conv_bn(conv: str, bn: str, ch: int, in_ch: int, k: int) -> list:
+        return [(f"{conv}.w", (ch, in_ch, k, k), GROUP_OTHER)] + [(f"{bn}.{part}", (ch,), group) for part, group in _BN_PARTS.items()]
+
+    out = conv_bn("stem.conv", "stem.bn", spec.stages[0][0], spec.in_channels, 3)
+    for p, in_ch, ch, stride in _blocks(spec):
+        out += conv_bn(f"{p}.conv1", f"{p}.bn1", ch, in_ch, 3) + conv_bn(f"{p}.conv2", f"{p}.bn2", ch, ch, 3)
+        if stride > 1:  # a downsampling block projects its skip
+            out += conv_bn(f"{p}.proj", f"{p}.proj_bn", ch, in_ch, 1)
+    return out + [
+        ("head.fc1.w", (spec.head_hidden, spec.stages[-1][0]), GROUP_OTHER),
+        ("head.fc1.b", (spec.head_hidden,), GROUP_OTHER),
+        ("head.out.w", (spec.num_classes, spec.head_hidden), GROUP_OTHER),
+    ]
 
 
 def build_model(spec: ModelSpec, seed: int) -> ModelParams:
-    """He-uniform conv/linear init, identity batch-norm, seed-deterministic."""
+    """He-uniform conv/linear weights (fan-in: all dims but the first), identity batch norm, zero bias; seed-deterministic."""
     rng = np.random.Generator(np.random.PCG64(seed))
     params = ModelParams(spec)
-
-    c0 = spec.stages[0][0]
-    params.add("stem.conv.w", _he_uniform(rng, (c0, spec.in_channels, 3, 3), spec.in_channels * 9), GROUP_OTHER)
-    _add_bn(params, rng, "stem.bn", c0)
-
-    in_ch = c0
-    for si, (ch, blocks) in enumerate(spec.stages):
-        for bi in range(blocks):
-            p = f"stage{si}.block{bi}"
-            downsample = bi == 0
-            params.add(f"{p}.conv1.w", _he_uniform(rng, (ch, in_ch, 3, 3), in_ch * 9), GROUP_OTHER)
-            _add_bn(params, rng, f"{p}.bn1", ch)
-            params.add(f"{p}.conv2.w", _he_uniform(rng, (ch, ch, 3, 3), ch * 9), GROUP_OTHER)
-            _add_bn(params, rng, f"{p}.bn2", ch)
-            if downsample:
-                params.add(f"{p}.proj.w", _he_uniform(rng, (ch, in_ch, 1, 1), in_ch), GROUP_OTHER)
-                _add_bn(params, rng, f"{p}.proj_bn", ch)
-            in_ch = ch
-
-    params.add("head.fc1.w", _he_uniform(rng, (spec.head_hidden, in_ch), in_ch), GROUP_OTHER)
-    params.add("head.fc1.b", np.zeros(spec.head_hidden, dtype=np.float32), GROUP_OTHER)
-    params.add("head.out.w", _he_uniform(rng, (spec.num_classes, spec.head_hidden), spec.head_hidden), GROUP_OTHER)
+    for name, shape, group in layout(spec):
+        if len(shape) >= 2:
+            bound = np.sqrt(6.0 / math.prod(shape[1:]))
+            array = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        else:  # ones for gamma and running_var, zeros for the rest
+            array = np.full(shape, name.endswith((".gamma", ".running_var")), dtype=np.float32)
+        params.add(name, array, group)
     return params
 
 
@@ -195,14 +194,11 @@ def _trunk(spec: ModelSpec, x, conv, bn, relu, add):
     route's in-place ones; ``x`` is the stem conv's output.
     """
     x = relu(bn(x, "stem.bn"))
-    for si, (ch, blocks) in enumerate(spec.stages):
-        for bi in range(blocks):
-            p = f"stage{si}.block{bi}"
-            stride = 2 if bi == 0 else 1  # the first block of a stage downsamples
-            out = relu(bn(conv(x, f"{p}.conv1.w", stride, 1), f"{p}.bn1"))
-            out = bn(conv(out, f"{p}.conv2.w", 1, 1), f"{p}.bn2")
-            skip = bn(conv(x, f"{p}.proj.w", stride, 0), f"{p}.proj_bn") if bi == 0 else x
-            x = relu(add(out, skip))
+    for p, _, _, stride in _blocks(spec):
+        out = relu(bn(conv(x, f"{p}.conv1.w", stride, 1), f"{p}.bn1"))
+        out = bn(conv(out, f"{p}.conv2.w", 1, 1), f"{p}.bn2")
+        skip = bn(conv(x, f"{p}.proj.w", stride, 0), f"{p}.proj_bn") if stride > 1 else x
+        x = relu(add(out, skip))
     return x
 
 
@@ -268,7 +264,7 @@ def forward(
             out,
             conv=lambda t, name, stride, pad: T.conv2d(t, leaves[name], stride=stride, pad=pad),
             bn=lambda t, prefix: T.batchnorm2d(
-                t, *(leaves[f"{prefix}.{part}"] for part in ("gamma", "beta", "running_mean", "running_var")),
+                t, *(leaves[f"{prefix}.{part}"] for part in _BN_PARTS),
                 eps=BN_EPS,
                 mode=mode,
             ),
@@ -380,15 +376,18 @@ def save_weights(params: ModelParams) -> bytes:
 
 
 def load_weights(data: bytes, spec: ModelSpec) -> ModelParams:
-    """Parse a weights file; its entries must be exactly those ``build_model(spec)`` makes."""
+    """Parse a weights file, checking each record against ``layout(spec)`` as it is read; builds no model."""
     if len(data) < 9 or data[:4] != WEIGHTS_MAGIC:
         raise CorruptWeights("bad weights magic")
     version, count = struct.unpack_from("<BI", data, 4)
     if version != WEIGHTS_VERSION:
         raise VersionMismatch(f"weights version {version}, expected {WEIGHTS_VERSION}")
+    expected = layout(spec)
+    if count != len(expected):
+        raise ArchMismatch(f"{count} entries, the model has {len(expected)}")
     params = ModelParams(spec)
     pos = 9
-    for _ in range(count):
+    for want in expected:
         if len(data) - pos < 2:
             raise CorruptWeights("truncated record header")
         (name_len,) = struct.unpack_from("<H", data, pos)
@@ -411,17 +410,17 @@ def load_weights(data: bytes, spec: ModelSpec) -> ModelParams:
         params.add(name, arr, _CODE_GROUPS[group_code])
         if trainable != params[name].trainable:
             raise CorruptWeights(f"entry {name!r}: trainable flag {trainable} contradicts its group")
+        got = (name, arr.shape, params[name].group)
+        if got != want:
+            raise ArchMismatch(f"entry {got} where the model has {want}")
     if pos != len(data):
         raise CorruptWeights(f"{len(data) - pos} trailing bytes")
-    check_same_arch(params, build_model(spec, 0))
     return params
 
 
 def check_same_arch(a: ModelParams, b: ModelParams) -> None:
-    if a.names() != b.names():
-        unmatched = sorted(set(a.names()) ^ set(b.names()))[:3]
-        raise ArchMismatch(f"parameter names differ in set or order, e.g. {unmatched}")
-    for name in a.names():
-        ea, eb = a[name], b[name]
-        if ea.array.shape != eb.array.shape or ea.group != eb.group:
-            raise ArchMismatch(f"entry {name!r} differs in shape or group")
+    """``a`` and ``b`` hold the same (name, shape, group) entries, in the same order."""
+    la, lb = ([(n, e.array.shape, e.group) for n, e in p.entries.items()] for p in (a, b))
+    if la != lb:
+        got, want = next((x, y) for x, y in zip(la + [None], lb + [None]) if x != y)  # None: past the shorter one's end
+        raise ArchMismatch(f"entry {got} where the other model has {want}")

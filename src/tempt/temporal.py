@@ -51,12 +51,14 @@ def count_decision_changes(y: np.ndarray) -> int:
     return int(np.count_nonzero(flips(decisions(y))))
 
 
+def change_rate(d: np.ndarray) -> float:
+    """Changes per transition of a decision sequence; 0.0 for a single frame."""
+    return int(np.count_nonzero(flips(d))) / (len(d) - 1) if len(d) > 1 else 0.0
+
+
 def normalized_changes(y: np.ndarray) -> float:
-    """Decision changes per frame transition; 0.0 for a single frame."""
-    t = np.asarray(y).shape[0]
-    if t <= 1:
-        return 0.0
-    return count_decision_changes(y) / (t - 1)
+    """``change_rate`` of a (T, k) series' decisions."""
+    return change_rate(decisions(y))
 
 
 def _window_scores(y: np.ndarray, window: int) -> np.ndarray:
@@ -85,10 +87,6 @@ def select_regions(
     """
     y = np.asarray(y)
     t = y.shape[0]
-    if window < 2:
-        raise ValueError(f"region window must be >= 2, got {window}")
-    if num_regions < 1:
-        raise ValueError(f"num_regions must be >= 1, got {num_regions}")
     if t <= window:
         return [Region(0, t, count_decision_changes(y))]
     scores = _window_scores(y, window)

@@ -334,6 +334,18 @@ def test_eval_weights_for_another_model_exits_2(capsys, workdir, trained_weights
     assert out == ""
 
 
+@pytest.mark.parametrize("field,size,entry", [("num_classes", 10**21, "head.out.w"), ("head_hidden", 10**11, "head.fc1.w")])
+def test_eval_weights_against_a_huge_model_exits_2(capsys, caplog, workdir, trained_weights, field, size, entry):
+    """The weights are checked against the config's model without allocating it."""
+    huge = workdir / f"huge-{field}.json"
+    huge.write_text(json.dumps({**TINY_CONFIG, "model": {**TINY_CONFIG["model"], field: size}}))
+    code, out = run_cli(capsys, ["eval", "--weights", str(trained_weights), "--config", str(huge)])
+    assert code == 2
+    assert out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and entry in errors[0]
+
+
 def test_trainable_byte_contradicting_its_group_exits_2(capsys, workdir, trained_weights):
     blob = bytearray(trained_weights.read_bytes())
     # first record: magic(4) + version(1) + count(4) + name_len(2) -> name, group byte, trainable byte

@@ -69,6 +69,8 @@ def test_shipped_train_shift_holds_out_the_strongest_test_shifts():
         {"train": {"seed": -2}},
         {"adapt": {"seed": -2}},
         {"benchmark": {"master_seed": -1}},
+        {"train": {"margin_scale": -0.5}},
+        {"benchmark": {"repeats": 0}},
     ],
     ids=[
         "unknown-method",
@@ -99,6 +101,8 @@ def test_shipped_train_shift_holds_out_the_strongest_test_shifts():
         "negative-train-seed",
         "negative-adapt-seed",
         "negative-master-seed",
+        "negative-margin-scale",
+        "zero-repeats",
     ],
 )
 def test_invalid_config_rejected_at_load(tmp_path, doc):

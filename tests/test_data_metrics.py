@@ -69,11 +69,6 @@ def test_shift_applied_to_every_frame():
     assert np.abs(shifted.frames - want).max() < 1e-6
 
 
-def test_video_rejects_too_short():
-    with pytest.raises(InvalidRange):
-        data.generate_video(data.class_templates(4), 19, 8, data.Shift(), 0.0, 10, seed=0)
-
-
 def test_shift_ranges_validation():
     with pytest.raises(InvalidRange):
         data.ShiftRanges(contrast=(1.2, 0.8))

@@ -33,13 +33,6 @@ def test_margin_value_exact():
     assert counts.margins()[0] == pytest.approx(1.0, abs=1e-7)  # 2 / 16^(1/4)
 
 
-def test_counts_validation():
-    with pytest.raises(ValueError):
-        losses.ClassCounts((0, 1), margin_scale=0.5)
-    with pytest.raises(ValueError):
-        losses.ClassCounts((1, 1), margin_scale=-1.0)
-
-
 # ---------------------------------------------------------------------------
 # cross entropy / ldam
 

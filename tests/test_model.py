@@ -65,6 +65,13 @@ def test_param_count_two_stages():
     assert sum(e.array.size for e in params.entries.values()) == expected_param_count(spec)
 
 
+def test_layout_is_the_built_models_table():
+    spec = model.ModelSpec(input_hw=8, stages=((4, 2), (8, 3)), num_classes=5, head_hidden=6)
+    params = model.build_model(spec, seed=1)
+    assert model.layout(spec) == [(n, params[n].array.shape, params[n].group) for n in params.names()]
+    assert [n for n, _, _ in model.layout(spec) if n.endswith(".proj.w")] == ["stage0.block0.proj.w", "stage1.block0.proj.w"]
+
+
 def test_init_contract(tiny_params):
     for name in tiny_params.names():
         e = tiny_params[name]
@@ -336,6 +343,28 @@ def test_weights_for_another_spec_rejected(tiny_spec, tiny_params):
     wider = model.ModelSpec(input_hw=8, stages=((4, 1), (16, 1)), num_classes=8, head_hidden=8)
     with pytest.raises(ArchMismatch):
         model.load_weights(blob, spec=wider)
+
+
+def test_weights_with_records_in_swapped_order_rejected(tiny_spec, tiny_params):
+    """Every record is well-formed and of the right model, but two trade places."""
+    names = tiny_params.names()
+    names[1], names[2] = names[2], names[1]  # stem.bn.gamma and stem.bn.beta: same shape and group
+    swapped = model.ModelParams(tiny_spec)
+    for name in names:
+        swapped.add(name, tiny_params[name].array, tiny_params[name].group)
+    with pytest.raises(ArchMismatch, match="stem.bn.beta"):
+        model.load_weights(model.save_weights(swapped), spec=tiny_spec)
+
+
+def test_load_weights_builds_no_model(tiny_spec, tiny_params, monkeypatch):
+    """The file is checked against the spec's layout, never against a model built for the comparison."""
+    blob = model.save_weights(tiny_params)
+    for name in ("build_model", "check_same_arch"):
+        monkeypatch.setattr(model, name, None)
+    assert model.save_weights(model.load_weights(blob, spec=tiny_spec)) == blob
+    huge = model.ModelSpec(input_hw=8, stages=((4, 1), (8, 1)), num_classes=10**21, head_hidden=8)
+    with pytest.raises(ArchMismatch, match="head.out.w"):
+        model.load_weights(blob, spec=huge)
 
 
 def test_unknown_group_tag_rejected(tiny_spec, tiny_params):
