@@ -103,8 +103,8 @@ class ModelParams:
     """Ordered name -> (array, group) store for one model.
 
     Batch-norm gamma/beta carry group 'bn_affine', running statistics
-    'bn_stats' (never trainable), everything else 'other'. Names are
-    stable across save/load.
+    'bn_stats' (never trainable), everything else 'other'. ``layout(spec)``
+    lists the entries' names, shapes and groups, in order.
     """
 
     def __init__(self, spec: ModelSpec):
