@@ -15,12 +15,20 @@ train-mode step and of one eval-mode step on the batch-norm affine
 parameters (Adam's first update is about lr * sign(g), so the weights
 alone can hide low-bit gradient differences). The last line is the shipped
 ``configs/default.json`` as its parser resolves it.
+
+The bytes depend on the BLAS kernel, not on the thread count, so a
+parent/change diff is valid only when both sides ran on the same OpenBLAS
+runtime core. The script prints that core on stderr (``unknown`` when
+numpy's bundled OpenBLAS or its core-name symbol is missing), keeping
+stdout to the digest lines.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +41,18 @@ CHUNKS = (16, 24, 128, 384, 400)
 ADAPT_STEPS = 3
 STEP_BATCH = 70  # two full frame slices and a partial one
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+
+
+def blas_core() -> str:
+    """The kernel name numpy's bundled OpenBLAS picked for this CPU, or ``unknown``."""
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def _sha(data) -> str:
@@ -87,4 +107,5 @@ def digest_lines(spec: model.ModelSpec) -> list[str]:
 
 
 if __name__ == "__main__":
+    print(f"openblas core: {blas_core()}", file=sys.stderr)
     print("\n".join(digest_lines(model.ModelSpec())))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import losses, model, temporal
 from . import tensor as T
-from .errors import InvalidRange, NoAdaptableParams, NonFiniteValue, TooFewFrames
+from .errors import InvalidRange, NoAdaptableParams, NonFiniteValue, TooFewFrames, at_least
 from .metrics import evaluate_logits
 from .optim import AdamWConfig, AdamWState, adamw_step
 
@@ -43,19 +43,13 @@ class AdaptConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise InvalidRange(f"method must be one of {METHODS}, got {self.method!r}")
-        for name in ("steps", "seed"):
-            if getattr(self, name) < 0:
-                raise InvalidRange(f"{name} must be >= 0, got {getattr(self, name)}")
+        at_least(self, 0, "steps", "seed")
         if self.lr <= 0:
             raise InvalidRange(f"lr must be > 0, got {self.lr}")
         if self.median_window < 1 or self.median_window % 2 == 0:
             raise InvalidRange(f"median_window must be odd and >= 1, got {self.median_window}")
-        if self.region_window < 2:
-            raise InvalidRange(f"region_window must be >= 2, got {self.region_window}")
-        if self.num_regions < 1:
-            raise InvalidRange(f"num_regions must be >= 1, got {self.num_regions}")
-        if self.batch_frames_cap < 1:
-            raise InvalidRange("batch_frames_cap must be >= 1")
+        at_least(self, 2, "region_window")
+        at_least(self, 1, "num_regions", "batch_frames_cap")
         self.adamw()
 
     def adamw(self) -> AdamWConfig:
@@ -93,7 +87,7 @@ def trainable_subset(params: model.ModelParams, method: str) -> list[str]:
     return names
 
 
-def forward_all(params: model.ModelParams, frames: np.ndarray, chunk: int = 128) -> np.ndarray:
+def forward_all(params: model.ModelParams, frames: np.ndarray, chunk: int = AdaptConfig.batch_frames_cap) -> np.ndarray:
     """Untracked eval-mode logits for every frame, in fixed-size chunks."""
     if frames.shape[0] == 0:
         raise TooFewFrames("a video needs at least one frame")

@@ -16,11 +16,13 @@ import numpy as np
 
 from .adapt import METHODS, AdaptConfig, adapt_video
 from .data import DEFAULT_PATCH, ShiftRanges, SyntheticVideo, class_templates, make_videos
-from .errors import InvalidRange
+from .errors import InvalidRange, at_least
 from .model import ModelParams
 
 DEFAULT_TRAIN_SHIFT = ShiftRanges(brightness=(-0.08, 0.08), contrast=(0.9, 1.1), channel_gain=(0.9, 1.1))
 DEFAULT_TEST_SHIFT = ShiftRanges(brightness=(-0.30, 0.30), contrast=(0.55, 1.45), channel_gain=(0.55, 1.45))
+
+TABLE_COLUMNS = {"none": "supervised", "tent": "tent", "tempt": "tempt"}  # each method's column in table.csv
 
 
 @dataclass(frozen=True)
@@ -39,18 +41,12 @@ class BenchmarkConfig:
     master_seed: int = 2024
 
     def __post_init__(self) -> None:
-        if self.repeats < 1:
-            raise InvalidRange("repeats must be >= 1")
-        for name in ("train_videos", "val_videos", "test_videos", "frames_per_video", "min_segment"):
-            if getattr(self, name) < 1:
-                raise InvalidRange(f"{name} must be >= 1")
+        at_least(self, 1, "repeats", "train_videos", "val_videos", "test_videos", "frames_per_video", "min_segment")
+        at_least(self, 0, "noise_sigma", "glitch_scale", "master_seed")
         if self.frames_per_video < 2 * self.min_segment:
             raise InvalidRange(f"frames_per_video {self.frames_per_video} must be >= 2*min_segment={2 * self.min_segment}")
         if not 0 <= self.test_glitch_rate <= 1:
             raise InvalidRange(f"test_glitch_rate must be in [0, 1], got {self.test_glitch_rate}")
-        for name in ("noise_sigma", "glitch_scale", "master_seed"):
-            if getattr(self, name) < 0:
-                raise InvalidRange(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def make_split(cfg: BenchmarkConfig, kind: str, hw: int) -> list[SyntheticVideo]:
@@ -136,23 +132,17 @@ class BenchmarkResult:
     model_name: str
 
     def table_csv(self) -> str:
-        lines = ["model,supervised,tent,tempt"]
-        lines.append(
-            f"{self.model_name},{self.table['supervised']:.6f},{self.table['tent']:.6f},{self.table['tempt']:.6f}"
-        )
-        return "\n".join(lines) + "\n"
+        return _csv(["model", *self.table], [[self.model_name, *self.table.values()]])
 
     def details_csv(self) -> str:
-        cols = ["video", "method", "repeat", "seed", "f1_before", "f1_after", "norm_changes_before", "norm_changes_after"]
-        lines = [",".join(cols)]
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    f"{row[c]:.6f}" if isinstance(row[c], float) else str(row[c])
-                    for c in cols
-                )
-            )
-        return "\n".join(lines) + "\n"
+        """One line per row, in the columns ``_run_task`` gives a row."""
+        return _csv(list(self.rows[0]), [row.values() for row in self.rows])
+
+
+def _csv(header: list[str], lines) -> str:
+    """Comma-separated lines under ``header``; floats with six decimals."""
+    body = [",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in line) for line in lines]
+    return "\n".join([",".join(header), *body]) + "\n"
 
 
 def _aggregate(rows: list[dict], methods: tuple[str, ...]) -> dict:
@@ -166,17 +156,15 @@ def _aggregate(rows: list[dict], methods: tuple[str, ...]) -> dict:
     for method in methods:
         sub = [r for r in rows if r["method"] == method]
         repeats = sorted({r["repeat"] for r in sub})
-        f1_by_rep = [np.mean([r["f1_after"] for r in sub if r["repeat"] == rep]) for rep in repeats]
-        nc_by_rep = [np.mean([r["norm_changes_after"] for r in sub if r["repeat"] == rep]) for rep in repeats]
-        summary[method] = {
-            "f1_before_mean": float(np.mean([r["f1_before"] for r in sub])),
-            "f1_after_mean": float(np.mean(f1_by_rep)),
-            "f1_after_sd": float(np.std(f1_by_rep)),
-            "norm_changes_before_mean": float(np.mean([r["norm_changes_before"] for r in sub])),
-            "norm_changes_after_mean": float(np.mean(nc_by_rep)),
-            "norm_changes_after_sd": float(np.std(nc_by_rep)),
-            "runs": len(sub),
-        }
+        summary[method] = {}
+        for metric in ("f1", "norm_changes"):
+            by_rep = [np.mean([r[f"{metric}_after"] for r in sub if r["repeat"] == rep]) for rep in repeats]
+            summary[method] |= {
+                f"{metric}_before_mean": float(np.mean([r[f"{metric}_before"] for r in sub])),
+                f"{metric}_after_mean": float(np.mean(by_rep)),
+                f"{metric}_after_sd": float(np.std(by_rep)),
+            }
+        summary[method]["runs"] = len(sub)
     return summary
 
 
@@ -184,10 +172,11 @@ def run_benchmark(
     base_params: ModelParams,
     videos: list[SyntheticVideo],
     adapt_cfg: AdaptConfig,
-    repeats: int = 5,
+    *,
+    repeats: int,
+    master_seed: int,
     methods: tuple[str, ...] = METHODS,
     jobs: int = 1,
-    master_seed: int = 2024,
     model_name: str = "cnn",
 ) -> BenchmarkResult:
     """Mean and spread of macro-F1 and flicker for each method.
@@ -238,9 +227,5 @@ def run_benchmark(
     expanded.sort(key=lambda r: (r["video"], METHODS.index(r["method"]), r["repeat"]))
 
     summary = _aggregate(expanded, methods)
-    table = {
-        "supervised": summary["none"]["f1_after_mean"] if "none" in summary else float("nan"),
-        "tent": summary["tent"]["f1_after_mean"] if "tent" in summary else float("nan"),
-        "tempt": summary["tempt"]["f1_after_mean"] if "tempt" in summary else float("nan"),
-    }
+    table = {col: summary[m]["f1_after_mean"] if m in summary else float("nan") for m, col in TABLE_COLUMNS.items()}
     return BenchmarkResult(rows=expanded, summary=summary, table=table, model_name=model_name)

@@ -159,6 +159,9 @@ def cmd_benchmark(args) -> int:
     cfg = load_config(args.config)
     seed = _resolve_seed(args.seed, cfg.benchmark.master_seed)
     cfg = dataclasses.replace(cfg, benchmark=dataclasses.replace(cfg.benchmark, master_seed=seed))
+    jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     params = _load_weights(args.weights, cfg.model)
     out_dir = Path(args.out)
     try:
@@ -166,7 +169,6 @@ def cmd_benchmark(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {out_dir}: {exc}") from None
     videos = make_split(cfg.benchmark, "test", cfg.model.input_hw)
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     log.info("benchmark: %d videos x %d repeats, jobs=%d", len(videos), cfg.benchmark.repeats, jobs)
     result = run_benchmark(
         params,

@@ -129,9 +129,9 @@ class SyntheticVideo:
     noise_sigma: float
     seed: int
     min_segment: int
-    glitch_rate: float = 0.0
-    glitch_scale: float = 6.0
-    glitch_frames: tuple[int, ...] = ()
+    glitch_rate: float
+    glitch_scale: float
+    glitch_frames: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.labels.shape != self.frames.shape[:1]:
@@ -308,9 +308,12 @@ def load_video(path: str | Path) -> SyntheticVideo:
     frames = read_tten(path)
     try:
         sidecar = json.loads(sidecar_path.read_text())
+        labels = sidecar["labels"]
+        if type(labels) is not list or not all(type(v) is int and 0 <= v < 2**63 for v in labels):
+            raise ValueError("labels must be a list of integers in [0, 2^63)")
         return SyntheticVideo(
             frames=frames.astype(np.float32),
-            labels=np.asarray(sidecar["labels"], dtype=np.int64),
+            labels=np.asarray(labels, dtype=np.int64),
             segments=[tuple(s) for s in sidecar["segments"]],
             shift=Shift.from_json_dict(sidecar["shift"]),
             noise_sigma=sidecar["noise_sigma"],

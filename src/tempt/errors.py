@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``at_least``: the one form of a config field's fixed lower bound."""
 
 
 class TemptError(Exception):
@@ -103,3 +103,10 @@ class InvalidRange(TemptError):
 
 class ConfigError(TemptError):
     pass
+
+
+def at_least(obj, minimum, *names: str, error: type[TemptError] = InvalidRange) -> None:
+    """Raise ``error`` for the first of ``obj``'s fields ``names`` whose value is below ``minimum``."""
+    for name in names:
+        if getattr(obj, name) < minimum:
+            raise error(f"{name} must be >= {minimum}, got {getattr(obj, name)}")

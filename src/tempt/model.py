@@ -45,6 +45,7 @@ from .errors import (
     NormalizationDegenerate,
     ShapeMismatch,
     VersionMismatch,
+    at_least,
 )
 from .tten import tensor_from_bytes, tensor_to_bytes
 
@@ -72,10 +73,8 @@ class ModelSpec:
     head_scale: float = 16.0
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise InvalidSpec(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.in_channels < 1:
-            raise InvalidSpec(f"in_channels must be >= 1, got {self.in_channels}")
+        at_least(self, 2, "num_classes", error=InvalidSpec)
+        at_least(self, 1, "in_channels", "head_hidden", error=InvalidSpec)
         if not self.stages:
             raise InvalidSpec("at least one stage required")
         for ch, blocks in self.stages:
@@ -83,10 +82,8 @@ class ModelSpec:
                 raise InvalidSpec(f"bad stage ({ch}, {blocks})")
         if self.input_hw % (2 ** len(self.stages)) != 0:
             raise InvalidSpec(f"input_hw {self.input_hw} not divisible by 2^{len(self.stages)}")
-        if self.head_hidden < 1:
-            raise InvalidSpec("head_hidden must be >= 1")
         if self.head_scale <= 0:
-            raise InvalidSpec("head_scale must be > 0")
+            raise InvalidSpec(f"head_scale must be > 0, got {self.head_scale}")
 
 
 @dataclass
@@ -177,11 +174,14 @@ def build_model(spec: ModelSpec, seed: int) -> ModelParams:
     rng = np.random.Generator(np.random.PCG64(seed))
     params = ModelParams(spec)
     for name, shape, group in layout(spec):
-        if len(shape) >= 2:
-            bound = np.sqrt(6.0 / math.prod(shape[1:]))
-            array = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-        else:  # ones for gamma and running_var, zeros for the rest
-            array = np.full(shape, name.endswith((".gamma", ".running_var")), dtype=np.float32)
+        try:
+            if len(shape) >= 2:
+                bound = np.sqrt(6.0 / math.prod(shape[1:]))
+                array = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+            else:  # ones for gamma and running_var, zeros for the rest
+                array = np.full(shape, name.endswith((".gamma", ".running_var")), dtype=np.float32)
+        except (MemoryError, ValueError) as exc:  # numpy refuses a shape too large to allocate or to index
+            raise InvalidSpec(f"cannot build {name} of shape {shape}: {exc}") from None
         params.add(name, array, group)
     return params
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidRange, NonFiniteGradient
+from .errors import InvalidRange, NonFiniteGradient, at_least
 
 
 @dataclass
@@ -18,9 +18,7 @@ class AdamWConfig:
     weight_decay: float = 0.01
 
     def __post_init__(self) -> None:
-        for name in ("lr", "weight_decay"):  # lr 0 is allowed: pretraining with it moves only the batch-norm statistics
-            if getattr(self, name) < 0:
-                raise InvalidRange(f"{name} must be >= 0, got {getattr(self, name)}")
+        at_least(self, 0, "lr", "weight_decay")  # lr 0 is allowed: pretraining with it moves only the batch-norm statistics
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise InvalidRange(f"{name} must be in [0, 1), got {getattr(self, name)}")

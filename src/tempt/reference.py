@@ -134,9 +134,9 @@ def finite_difference_grads(
     loss_fn,
     arrays: dict[str, np.ndarray],
     names: list[str],
-    step: float = 1e-3,
-    max_probes_per_tensor: int | None = None,
-    seed: int = 0,
+    step: float,
+    max_probes_per_tensor: int,
+    seed: int,
 ) -> tuple[dict[str, np.ndarray], float]:
     """Richardson-extrapolated central differences of ``loss_fn(arrays)`` w.r.t. the named arrays.
 
@@ -145,9 +145,9 @@ def finite_difference_grads(
     leaving O(h^4) truncation error. ``loss_fn`` returns (value, signature);
     a probe whose four evaluation points disagree in signature straddles a
     non-differentiable point, so its estimate is invalid and comes back NaN.
-    Probes every coordinate unless capped; capped tensors get a seeded
-    coordinate sample, with unprobed entries also NaN. Returns (grads,
-    masked_fraction).
+    A tensor of more than ``max_probes_per_tensor`` entries is probed at a
+    seeded sample of that many coordinates, with unprobed entries also NaN.
+    Returns (grads, masked_fraction).
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     out: dict[str, np.ndarray] = {}
@@ -157,7 +157,7 @@ def finite_difference_grads(
         base = arrays[name]
         grad = np.full(base.size, np.nan)
         coords = np.arange(base.size)
-        if max_probes_per_tensor is not None and base.size > max_probes_per_tensor:
+        if base.size > max_probes_per_tensor:
             coords = np.sort(rng.choice(base.size, size=max_probes_per_tensor, replace=False))
         work = base.astype(np.float64).ravel().copy()
         perturbed = dict(arrays)
@@ -191,9 +191,9 @@ def compare_grads(
     analytic: dict[str, np.ndarray],
     numeric: dict[str, np.ndarray],
     groups: dict[str, str],
-    tolerance: float = 1e-3,
-    loss_name: str = "",
-    masked_fraction: float = 0.0,
+    tolerance: float,
+    loss_name: str,
+    masked_fraction: float,
 ) -> GradcheckResult:
     """Per-group max relative error, normalized by the group's gradient scale.
 

@@ -10,7 +10,7 @@ import numpy as np
 from . import losses, model
 from . import tensor as T
 from .data import FrameDataset
-from .errors import DivergedLoss, EmptyClass, InvalidRange, NonFiniteValue
+from .errors import DivergedLoss, EmptyClass, InvalidRange, NonFiniteValue, at_least
 from .metrics import macro_f1
 from .optim import AdamWConfig, AdamWState, adamw_step
 
@@ -29,17 +29,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise InvalidRange(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise InvalidRange(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr_step_epochs < 1:
-            raise InvalidRange(f"lr_step_epochs must be >= 1, got {self.lr_step_epochs}")
+        at_least(self, 1, "epochs", "batch_size", "lr_step_epochs")
         if self.lr_gamma <= 0:
             raise InvalidRange(f"lr_gamma must be > 0, got {self.lr_gamma}")
-        for name in ("margin_scale", "seed"):
-            if getattr(self, name) < 0:
-                raise InvalidRange(f"{name} must be >= 0, got {getattr(self, name)}")
+        at_least(self, 0, "margin_scale", "seed")
         AdamWConfig(self.lr, weight_decay=self.weight_decay)
 
 

@@ -313,6 +313,36 @@ def test_train_overflowing_gradient_exits_3(capsys, workdir, monkeypatch):
     assert not (workdir / "inf.twgt").exists()
 
 
+@pytest.mark.parametrize("label", [1e30, 1.5, True], ids=["huge-float", "fraction", "boolean"])
+def test_eval_sidecar_label_not_a_json_integer_exits_2(capsys, workdir, trained_weights, label):
+    clip = make_video_file(workdir)
+    path = workdir / f"label_{label}.tten"
+    path.write_bytes(clip.read_bytes())
+    doc = json.loads(Path(f"{clip}.json").read_text())
+    Path(f"{path}.json").write_text(json.dumps({**doc, "labels": [label] * len(doc["labels"])}))
+    argv = ["eval", "--weights", str(trained_weights), "--config", str(workdir / "config.json"), "--video", str(path)]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ConfigError, match="malformed video sidecar"):
+        args.fn(args)
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("field,size,entry", [("num_classes", 10**21, "head.out.w"), ("head_hidden", 10**11, "head.fc1.w")])
+def test_train_huge_model_exits_2_without_weights(capsys, caplog, workdir, field, size, entry):
+    """numpy refuses the entry's shape; the run ends with the typed error, not numpy's."""
+    huge = workdir / f"train-huge-{field}.json"
+    huge.write_text(json.dumps({**TINY_CONFIG, "model": {**TINY_CONFIG["model"], field: size}}))
+    out_path = workdir / f"huge-{field}.twgt"
+    code, out = run_cli(capsys, ["train", "--config", str(huge), "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert not out_path.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and entry in errors[0]
+
+
 def test_eval_command(capsys, workdir, trained_weights):
     code, out = run_cli(capsys, ["eval", "--weights", str(trained_weights), "--config", str(workdir / "config.json")])
     assert code == 0
@@ -381,6 +411,16 @@ def test_benchmark_outputs(capsys, workdir, trained_weights):
     details = (out_dir / "details.csv").read_text().splitlines()
     assert details[0].startswith("video,method,repeat,seed")
     assert len(details) == 1 + len(doc["rows"])
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_benchmark_jobs_below_one_exits_2(capsys, workdir, trained_weights, jobs):
+    out_dir = workdir / f"bench_jobs{jobs}"
+    argv = ["benchmark", "--weights", str(trained_weights), "--config", str(workdir / "config.json"), "--out", str(out_dir)]
+    code, out = run_cli(capsys, argv + ["--jobs", jobs])
+    assert code == 2
+    assert out == ""
+    assert not out_dir.exists()
 
 
 def test_benchmark_rerun_identical_bytes(capsys, workdir, trained_weights):

@@ -11,7 +11,8 @@ import pytest
 from tempt import cli, config
 from tempt.adapt import AdaptConfig
 from tempt.benchmark import BenchmarkConfig
-from tempt.errors import ConfigError, InvalidRange
+from tempt.errors import ConfigError, InvalidRange, InvalidSpec
+from tempt.model import ModelSpec
 from tempt.training import TrainConfig
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -130,6 +131,21 @@ def test_override_checked_when_built(section, field, value):
     """A config changed after loading (a CLI override, a per-task copy) is checked like a loaded one."""
     with pytest.raises(InvalidRange, match=field):
         dataclasses.replace(section, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "section,field,minimum,error",
+    [
+        (BenchmarkConfig(), "repeats", 1, InvalidRange),
+        (BenchmarkConfig(), "min_segment", 1, InvalidRange),
+        (AdaptConfig(), "batch_frames_cap", 1, InvalidRange),
+        (ModelSpec(), "head_hidden", 1, InvalidSpec),
+    ],
+    ids=["repeats", "min-segment", "batch-frames-cap", "head-hidden"],
+)
+def test_lower_bound_message_names_field_bound_and_value(section, field, minimum, error):
+    with pytest.raises(error, match=rf"^{field} must be >= {minimum}, got 0$"):
+        dataclasses.replace(section, **{field: 0})
 
 
 @pytest.mark.parametrize(
