@@ -329,9 +329,14 @@ def test_eval_sidecar_label_not_a_json_integer_exits_2(capsys, workdir, trained_
     assert out == ""
 
 
-@pytest.mark.parametrize("field,size,entry", [("num_classes", 10**21, "head.out.w"), ("head_hidden", 10**11, "head.fc1.w")])
+@pytest.mark.parametrize("field,size,entry", [("num_classes", 10**21, "head.out.w"), ("head_hidden", 10**14, "head.fc1.w")])
 def test_train_huge_model_exits_2_without_weights(capsys, caplog, workdir, field, size, entry):
-    """numpy refuses the entry's shape; the run ends with the typed error, not numpy's."""
+    """numpy refuses the entry's shape; the run ends with the typed error, not numpy's.
+
+    10^21 rows exceed numpy's dimension limit (ValueError). 10^14 hidden
+    units ask for 5.7 PiB, past the x86-64 address space, so the allocation
+    fails (MemoryError) even on a host that overcommits memory.
+    """
     huge = workdir / f"train-huge-{field}.json"
     huge.write_text(json.dumps({**TINY_CONFIG, "model": {**TINY_CONFIG["model"], field: size}}))
     out_path = workdir / f"huge-{field}.twgt"
