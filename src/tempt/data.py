@@ -10,7 +10,7 @@ that makes an uncalibrated model flicker.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -87,13 +87,6 @@ class Shift:
         shifted = self.contrast * (frames - 0.5) + 0.5 + self.brightness
         return (gains * shifted).astype(np.float32)
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Shift":
-        return cls(d["brightness"], d["contrast"], tuple(d["channel_gain"]))
-
 
 @dataclass(frozen=True)
 class ShiftRanges:
@@ -122,20 +115,13 @@ class ShiftRanges:
 
 @dataclass
 class SyntheticVideo:
+    """One generated video: frames and labels, plus what the generator drew for them."""
+
     frames: np.ndarray  # (T, 3, H, W) float32
     labels: np.ndarray  # (T,) int64
     segments: list[tuple[int, int, int]]  # (start, end, class)
     shift: Shift
-    noise_sigma: float
-    seed: int
-    min_segment: int
-    glitch_rate: float
-    glitch_scale: float
     glitch_frames: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.labels.shape != self.frames.shape[:1]:
-            raise LengthMismatch(f"{self.labels.size} labels for {self.frames.shape[0]} frames")
 
 
 def _segment_labels(rng: np.random.Generator, t: int, min_segment: int, k: int):
@@ -224,11 +210,6 @@ def generate_video(
         labels=labels,
         segments=segments,
         shift=concrete_shift,
-        noise_sigma=noise_sigma,
-        seed=seed,
-        min_segment=min_segment,
-        glitch_rate=glitch_rate,
-        glitch_scale=glitch_scale,
         glitch_frames=glitched,
     )
 
@@ -265,10 +246,14 @@ def make_videos(
 
 @dataclass
 class FrameDataset:
-    """Flat frame-level view of a video list, for supervised pretraining."""
+    """Frames with one label each: a video file, or a video list flattened for pretraining."""
 
     frames: np.ndarray  # (N, 3, H, W)
     labels: np.ndarray  # (N,)
+
+    def __post_init__(self) -> None:
+        if self.labels.shape != self.frames.shape[:1]:
+            raise LengthMismatch(f"{self.labels.size} labels for {self.frames.shape[0]} frames")
 
     @classmethod
     def from_videos(cls, videos: list[SyntheticVideo]) -> "FrameDataset":
@@ -282,24 +267,15 @@ class FrameDataset:
 
 
 def save_video(path: str | Path, video: SyntheticVideo) -> None:
-    """TTEN tensor plus a JSON sidecar next to it."""
+    """TTEN frames plus a JSON sidecar next to it that holds the labels."""
     path = Path(path)
     write_tten(path, video.frames)
-    sidecar = {
-        "labels": [int(v) for v in video.labels],
-        "segments": [[int(a), int(b), int(c)] for a, b, c in video.segments],
-        "shift": video.shift.to_json_dict(),
-        "noise_sigma": video.noise_sigma,
-        "seed": video.seed,
-        "min_segment": video.min_segment,
-        "glitch_rate": video.glitch_rate,
-        "glitch_scale": video.glitch_scale,
-        "glitch_frames": list(video.glitch_frames),
-    }
+    sidecar = {"labels": [int(v) for v in video.labels]}
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
 
 
-def load_video(path: str | Path) -> SyntheticVideo:
+def load_video(path: str | Path) -> FrameDataset:
+    """A video file's frames and its sidecar's labels; other sidecar keys are ignored."""
     path = Path(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     for p in (path, sidecar_path):
@@ -307,21 +283,9 @@ def load_video(path: str | Path) -> SyntheticVideo:
             raise ConfigError(f"video file not found: {p}")
     frames = read_tten(path)
     try:
-        sidecar = json.loads(sidecar_path.read_text())
-        labels = sidecar["labels"]
+        labels = json.loads(sidecar_path.read_text())["labels"]
         if type(labels) is not list or not all(type(v) is int and 0 <= v < 2**63 for v in labels):
             raise ValueError("labels must be a list of integers in [0, 2^63)")
-        return SyntheticVideo(
-            frames=frames.astype(np.float32),
-            labels=np.asarray(labels, dtype=np.int64),
-            segments=[tuple(s) for s in sidecar["segments"]],
-            shift=Shift.from_json_dict(sidecar["shift"]),
-            noise_sigma=sidecar["noise_sigma"],
-            seed=sidecar["seed"],
-            min_segment=sidecar["min_segment"],
-            glitch_rate=sidecar.get("glitch_rate", 0.0),
-            glitch_scale=sidecar.get("glitch_scale", 6.0),
-            glitch_frames=tuple(sidecar.get("glitch_frames", [])),
-        )
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"malformed video sidecar {sidecar_path}: {type(exc).__name__}: {exc}") from exc
+    return FrameDataset(frames=frames.astype(np.float32), labels=np.asarray(labels, dtype=np.int64))

@@ -21,7 +21,7 @@ class ClassCounts:
     """Per-class sample counts plus the margin temperature."""
 
     n: tuple[int, ...]
-    margin_scale: float = 0.5
+    margin_scale: float
 
     def margins(self) -> np.ndarray:
         return (self.margin_scale / np.power(self.n, 0.25)).astype(np.float32)

@@ -43,7 +43,7 @@ class TrainResult:
     step_losses: list[float]
 
 
-def class_counts(dataset: FrameDataset, num_classes: int, margin_scale: float = 0.5) -> losses.ClassCounts:
+def class_counts(dataset: FrameDataset, num_classes: int, margin_scale: float) -> losses.ClassCounts:
     """Exact per-class frame counts; a class with zero samples is rejected."""
     if len(dataset) == 0:
         raise EmptyClass("empty dataset")

@@ -313,6 +313,19 @@ def test_train_overflowing_gradient_exits_3(capsys, workdir, monkeypatch):
     assert not (workdir / "inf.twgt").exists()
 
 
+@pytest.mark.parametrize("command,method", [("adapt", "tempt"), ("adapt", "tent"), ("adapt", "none"), ("eval", None)])
+def test_labels_only_sidecar_exits_0(capsys, workdir, trained_weights, command, method):
+    clip = make_video_file(workdir)
+    path = workdir / "labels_only.tten"
+    path.write_bytes(clip.read_bytes())
+    labels = json.loads(Path(f"{clip}.json").read_text())["labels"]
+    Path(f"{path}.json").write_text(json.dumps({"labels": labels}))
+    argv = [command, "--weights", str(trained_weights), "--config", str(workdir / "config.json"), "--video", str(path)]
+    code, out = run_cli(capsys, argv + (["--method", method] if method else []))
+    assert code == 0
+    assert json.loads(out)["command"] == command
+
+
 @pytest.mark.parametrize("label", [1e30, 1.5, True], ids=["huge-float", "fraction", "boolean"])
 def test_eval_sidecar_label_not_a_json_integer_exits_2(capsys, workdir, trained_weights, label):
     clip = make_video_file(workdir)

@@ -90,7 +90,7 @@ def test_ldam_penalizes_true_class_margin():
 
 def test_ldam_label_out_of_range():
     with pytest.raises(LabelOutOfRange):
-        losses.ldam_loss(T.Tensor(np.zeros((1, 4))), [4], losses.ClassCounts((1,) * 4))
+        losses.ldam_loss(T.Tensor(np.zeros((1, 4))), [4], losses.ClassCounts((1,) * 4, 0.5))
 
 
 def test_ldam_stable_at_large_logits():

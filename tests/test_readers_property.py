@@ -2,16 +2,34 @@
 
 from __future__ import annotations
 
+import json
 import struct
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempt import model, tten
+from tempt import data, model, tten
 from tempt.errors import TemptError
 
 # 2**31 and 2**32 - 1 overflow numpy's index type once two of them multiply
 DIMS = st.sampled_from([0, 1, 2, 7, 2**31, 2**32 - 1])
+
+CLIP_FRAMES = 3
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+# valid labels, plus the JSON values a label check must reject: bools, floats, negatives, 2**63 and beyond
+LABEL = st.integers(0, 2**63 - 1) | st.booleans() | st.floats() | st.integers(-(2**64), 2**64) | st.sampled_from([-1, 2**63])
+LABELS = (
+    st.lists(st.integers(0, 2**63 - 1), min_size=CLIP_FRAMES, max_size=CLIP_FRAMES)
+    | st.lists(LABEL, min_size=CLIP_FRAMES, max_size=CLIP_FRAMES)
+    | st.lists(LABEL, max_size=CLIP_FRAMES + 1)
+    | st.deferred(lambda: SCALARS)
+)
+# st.deferred keeps a union as one branch of the union around it (a plain `|` flattens it),
+# so labelled objects are not one branch among eight (at 300 examples, 33 load and 10 miscount their frames)
+UNLABELLED = st.deferred(lambda: st.dictionaries(st.text(max_size=8), SCALARS, max_size=3) | st.lists(SCALARS, max_size=3) | SCALARS)
+SIDECARS = st.fixed_dictionaries({"labels": LABELS}, optional={"segments": SCALARS, "seed": SCALARS}) | UNLABELLED
 
 
 @given(st.lists(DIMS, max_size=80), st.binary(max_size=32))
@@ -41,3 +59,23 @@ def test_mutated_weights_load_or_raise_typed(tiny_spec, tiny_params, flips, cut)
         model.load_weights(bytes(blob), spec=tiny_spec)
     except TemptError:
         pass
+
+
+@pytest.fixture(scope="module")
+def clip(tmp_path_factory):
+    path = tmp_path_factory.mktemp("clip") / "clip.tten"
+    tten.write_tten(path, np.zeros((CLIP_FRAMES, 3, 2, 2), dtype=np.float32))
+    return path
+
+
+@given(SIDECARS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_any_json_sidecar_loads_labels_or_raises_typed(clip, sidecar):
+    clip.with_suffix(".tten.json").write_text(json.dumps(sidecar))
+    try:
+        video = data.load_video(clip)
+    except TemptError:
+        return
+    assert video.labels.dtype == np.int64
+    assert video.labels.tolist() == sidecar["labels"]
+    assert len(video.labels) == len(video.frames) == CLIP_FRAMES

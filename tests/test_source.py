@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tempt"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tempt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -51,3 +52,26 @@ def test_every_error_class_is_raised():
     classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)} - {"TemptError"}
     raised = set().union(*(raised_names(p.read_text()) for p in MODULES))
     assert sorted(classes - raised) == []
+
+
+def vacuous_asserts(source: str) -> list[int]:
+    """Lines of ``assert ... or True``: the last operand makes the assertion always pass."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert)
+        and isinstance(node.test, ast.BoolOp)
+        and isinstance(node.test.op, ast.Or)
+        and isinstance(node.test.values[-1], ast.Constant)
+        and node.test.values[-1].value is True
+    ]
+
+
+def test_vacuous_assert_detector_flags_only_a_trailing_or_true():
+    source = "assert a or True\nassert a or b\nassert True or a\nassert a or 1\nassert (a or b or True), 'm'\n"
+    assert vacuous_asserts(source) == [1, 5]
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.rglob("*.py")), ids=lambda p: p.name)
+def test_no_vacuous_asserts(path):
+    assert vacuous_asserts(path.read_text()) == []

@@ -169,7 +169,7 @@ def test_select_regions_sampling_seeded(rng):
     r2 = temporal.select_regions(y, 32, 4, rng=np.random.Generator(np.random.PCG64(5)), sample=True)
     r3 = temporal.select_regions(y, 32, 4, rng=np.random.Generator(np.random.PCG64(6)), sample=True)
     assert r1 == r2
-    assert r1 != r3 or True  # different seed usually differs; disjointness always holds
+    assert r1 != r3
     for regions in (r1, r3):
         for a, b in zip(regions, regions[1:]):
             assert a.end <= b.start

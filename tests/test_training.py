@@ -20,7 +20,7 @@ def tiny_dataset(master_seed=0, n_videos=6, t=48):
 
 def test_class_counts_balanced():
     ds = data.FrameDataset(np.zeros((16, 3, 8, 8), dtype=np.float32), np.repeat(np.arange(8), 2))
-    counts = training.class_counts(ds, 8)
+    counts = training.class_counts(ds, 8, 0.5)
     assert counts.n == (2,) * 8
 
 
@@ -35,7 +35,7 @@ def test_class_counts_match_video_ledger():
 def test_class_counts_rejects_empty_class():
     ds = data.FrameDataset(np.zeros((4, 3, 8, 8), dtype=np.float32), np.array([0, 0, 1, 1]))
     with pytest.raises(EmptyClass):
-        training.class_counts(ds, 8)
+        training.class_counts(ds, 8, 0.5)
 
 
 def balanced_toy_dataset(seed=0, per_class=1, hw=8):
