@@ -16,7 +16,7 @@ import numpy as np
 from . import losses, model, temporal
 from . import tensor as T
 from .errors import InvalidRange, NoAdaptableParams, NonFiniteValue, TooFewFrames, at_least
-from .metrics import evaluate_logits
+from .metrics import check_labels, evaluate_logits
 from .optim import AdamWConfig, AdamWState, adamw_step
 
 log = logging.getLogger(__name__)
@@ -127,6 +127,8 @@ def adapt_video(
     t_frames = frames.shape[0]
     if config.method == "tempt" and t_frames < 2:
         raise TooFewFrames(f"tempt needs at least two frames, got {t_frames}")
+    if labels is not None:
+        check_labels(np.asarray(labels), params.spec.num_classes)
 
     work = params.copy()
     chunk = config.batch_frames_cap

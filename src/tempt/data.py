@@ -124,9 +124,10 @@ class SyntheticVideo:
     glitch_frames: tuple[int, ...]
 
 
-def _segment_labels(rng: np.random.Generator, t: int, min_segment: int, k: int):
+def _segment_labels(rng: np.random.Generator, labels: np.ndarray, min_segment: int, k: int) -> list[tuple[int, int, int]]:
+    """Draw the segments and write each one's class into ``labels``."""
     lengths: list[int] = []
-    remaining = t
+    remaining = labels.size
     while remaining >= 2 * min_segment:
         upper = min(2 * min_segment, remaining - min_segment)
         lengths.append(int(rng.integers(min_segment, upper + 1)))
@@ -134,7 +135,6 @@ def _segment_labels(rng: np.random.Generator, t: int, min_segment: int, k: int):
     lengths.append(remaining)
 
     segments: list[tuple[int, int, int]] = []
-    labels = np.empty(t, dtype=np.int64)
     prev = -1
     start = 0
     for length in lengths:
@@ -147,7 +147,7 @@ def _segment_labels(rng: np.random.Generator, t: int, min_segment: int, k: int):
         labels[start : start + length] = cls
         prev = cls
         start += length
-    return labels, segments
+    return segments
 
 
 def generate_video(
@@ -174,14 +174,18 @@ def generate_video(
     k, _, patch, _ = templates.shape
     if patch > hw:
         raise InvalidRange(f"template patch {patch} larger than canvas {hw}")
+    try:  # numpy refuses at once a size past the address space, which the segment loop would never finish
+        labels = np.empty(t, dtype=np.int64)
+        frames = np.full((t, 3, hw, hw), BACKGROUND, dtype=np.float32)
+    except (MemoryError, ValueError) as exc:
+        raise InvalidRange(f"cannot allocate a {t}-frame video of {hw}x{hw} frames: {exc}") from None
     rng = np.random.Generator(np.random.PCG64(seed))
-    labels, segments = _segment_labels(rng, t, min_segment, k)
+    segments = _segment_labels(rng, labels, min_segment, k)
     concrete_shift = shift.sample(rng) if isinstance(shift, ShiftRanges) else shift
 
     span = hw - patch
     pos = rng.uniform(0, span, size=2)
     vel = rng.uniform(-1.0, 1.0, size=2)
-    frames = np.full((t, 3, hw, hw), BACKGROUND, dtype=np.float32)
     for ti in range(t):
         vel = np.clip(vel + rng.normal(0.0, 0.3, size=2), -1.5, 1.5)
         pos = pos + vel

@@ -13,7 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import LabelOutOfRange, ShapeMismatch
+from .errors import ShapeMismatch
+from .metrics import check_labels
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,7 @@ def _check_labels(labels: Sequence[int], k: int) -> np.ndarray:
     lab = np.asarray(labels, dtype=np.int64)
     if lab.ndim != 1:
         raise ShapeMismatch(f"labels must be 1-D, got shape {lab.shape}")
-    if lab.size and (lab.min() < 0 or lab.max() >= k):
-        raise LabelOutOfRange(f"labels must lie in [0,{k}), got range [{lab.min()},{lab.max()}]")
+    check_labels(lab, k)
     return lab
 
 

@@ -21,6 +21,12 @@ class EvalResult:
         return {**asdict(self), "confusion": self.confusion.tolist()}
 
 
+def check_labels(labels: np.ndarray, k: int, what: str = "labels") -> None:
+    """Every entry of ``labels`` is a class index in [0, k)."""
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise LabelOutOfRange(f"{what} outside [0,{k})")
+
+
 def macro_f1(preds, labels, k: int) -> EvalResult:
     """Unweighted mean of per-class F1 over all k classes.
 
@@ -33,9 +39,8 @@ def macro_f1(preds, labels, k: int) -> EvalResult:
         raise LengthMismatch(f"preds {preds.shape} vs labels {labels.shape}")
     if preds.size == 0:
         raise LengthMismatch("empty prediction list")
-    for arr, what in ((preds, "preds"), (labels, "labels")):
-        if arr.min() < 0 or arr.max() >= k:
-            raise LabelOutOfRange(f"{what} outside [0,{k})")
+    check_labels(preds, k, "preds")
+    check_labels(labels, k)
 
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)

@@ -24,9 +24,14 @@ slicing, so the bytes do not depend on it. The kernel gradient stays one
 GEMM over the whole batch's patch matrix, kept only when it is needed.
 
 Tensors are immutable values once created. A graph is recorded only when
-an input requires grad, so plain inference builds no tape. Each backward
-pass assembles its own topologically ordered tape from the loss node, so
-forwards over distinct inputs can run concurrently.
+an input requires grad, so plain inference builds no tape. The graph holds
+nodes, not tensors: a node keeps its inputs' nodes (or the leaf itself, for
+a leaf that requires grad) and a backward closure that holds only the
+arrays its backward reads, such as a batch norm's xhat and a relu's bool
+mask; never an op's input or output. So an intermediate's values die with
+its last reference outside the tape. Each backward pass assembles its own
+topologically ordered tape from the loss node, so forwards over distinct
+inputs can run concurrently.
 
 Importing this module tunes glibc's allocator for the whole process (on
 other C libraries it does nothing): blocks up to 32 MiB come from the heap
@@ -87,10 +92,12 @@ def _ensure_finite(data: Array, op: str) -> None:
 
 
 class Node:
-    """One tape record: op id, input refs and the gradient closure.
+    """One tape record: op id, parent entries and the gradient closure.
 
+    ``parents`` holds one entry per op input: the input's Node, the input
+    itself when it is a leaf that requires grad, or None for a constant.
     ``backward_fn(grad_out)`` returns one gradient array (or None) per
-    parent, aligned with ``parents``. ``finite`` is ``_make``'s flag.
+    entry. ``finite`` is ``_make``'s flag.
     """
 
     __slots__ = ("op", "parents", "backward_fn", "finite")
@@ -98,7 +105,7 @@ class Node:
     def __init__(
         self,
         op: str,
-        parents: tuple["Tensor", ...],
+        parents: tuple["Node | Tensor | None", ...],
         backward_fn: Callable[[Array], list[Array | None]],
         finite: bool = False,
     ) -> None:
@@ -165,12 +172,19 @@ def _wrap(value) -> Tensor:
     return Tensor(value)
 
 
-def _make(data: Array, op: str, parents: tuple[Tensor, ...], backward_fn, finite: bool = False) -> Tensor:
+def _parent(t: Tensor) -> Node | Tensor | None:
+    """``t``'s entry in a consumer's ``Node.parents``."""
+    if t.node is not None:
+        return t.node
+    return t if t.requires_grad else None
+
+
+def _make(data: Array, op: str, inputs: tuple[Tensor, ...], backward_fn, finite: bool = False) -> Tensor:
     # finite=True: the op cannot make NaN/Inf from checked values, so neither its output nor its gradients are scanned
     if not finite:
         _ensure_finite(data, op)
-    if any(p.requires_grad for p in parents):
-        return Tensor._unchecked(data, True, node=Node(op, parents, backward_fn, finite))
+    if any(t.requires_grad for t in inputs):
+        return Tensor._unchecked(data, True, node=Node(op, tuple(map(_parent, inputs)), backward_fn, finite))
     return Tensor._unchecked(data)
 
 
@@ -209,21 +223,20 @@ def tensor_binop(a: Tensor, b: Tensor, kind: str) -> Tensor:
         raise
 
     a_shape, b_shape = a.shape, b.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
+    # mul keeps the other operand, and only when its own operand needs grad
+    a_factor = b.data if kind == "mul" and need_a else None
+    b_factor = a.data if kind == "mul" and need_b else None
 
     def backward(g: Array) -> list[Array | None]:
         ga = gb = None
-        if a.requires_grad:
-            if kind == "mul":
-                ga = _unbroadcast(g * b.data, a_shape)
-            else:
-                ga = _unbroadcast(g, a_shape)
-        if b.requires_grad:
-            if kind == "mul":
-                gb = _unbroadcast(g * a.data, b_shape)
-            elif kind == "sub":
+        if need_a:
+            ga = _unbroadcast(g if a_factor is None else g * a_factor, a_shape)
+        if need_b:
+            if kind == "sub":
                 gb = _unbroadcast(-g, b_shape)
             else:
-                gb = _unbroadcast(g, b_shape)
+                gb = _unbroadcast(g if b_factor is None else g * b_factor, b_shape)
         return [ga, gb]
 
     return _make(data, kind, (a, b), backward)
@@ -232,13 +245,16 @@ def tensor_binop(a: Tensor, b: Tensor, kind: str) -> Tensor:
 def div(a: Tensor, b: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         data = a.data / b.data
+    a_shape, b_shape, bd = a.shape, b.shape, b.data
+    ad = a.data if b.requires_grad else None
+    need_a = a.requires_grad
 
     def backward(g: Array) -> list[Array | None]:
         ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g / b.data, a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        if need_a:
+            ga = _unbroadcast(g / bd, a_shape)
+        if ad is not None:
+            gb = _unbroadcast(-g * ad / (bd * bd), b_shape)
         return [ga, gb]
 
     return _make(data, "div", (a, b), backward)
@@ -257,9 +273,10 @@ def exp(x: Tensor) -> Tensor:
 def log(x: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(x.data)
+    xd = x.data
 
     def backward(g: Array) -> list[Array | None]:
-        return [g / x.data]
+        return [g / xd]
 
     return _make(data, "log", (x,), backward)
 
@@ -282,10 +299,12 @@ def _relu_mask(x: Array) -> Array:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0); the tape keeps the bool mask ``x > 0``, not ``x``."""
     data = np.maximum(x.data, 0.0)
+    mask = _relu_mask(x.data) if x.requires_grad else None
 
     def backward(g: Array) -> list[Array | None]:
-        return [g * _relu_mask(x.data)]
+        return [g * mask]
 
     return _make(data, "relu", (x,), backward, finite=True)
 
@@ -297,15 +316,16 @@ def relu(x: Tensor) -> Tensor:
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims, dtype=np.float32)
     data = np.asarray(data, dtype=np.float32)
+    x_shape = x.shape
 
     def backward(g: Array) -> list[Array | None]:
         if axis is None:
-            return [np.broadcast_to(np.float32(g), x.shape).astype(np.float32)]
+            return [np.broadcast_to(np.float32(g), x_shape).astype(np.float32)]
         axes = axis if isinstance(axis, tuple) else (axis,)
         gx = g
         if not keepdims:
             gx = np.expand_dims(gx, axes)
-        return [np.broadcast_to(gx, x.shape).astype(np.float32)]
+        return [np.broadcast_to(gx, x_shape).astype(np.float32)]
 
     return _make(data, "sum", (x,), backward)
 
@@ -325,9 +345,10 @@ def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     if idx.min() < 0 or idx.max() >= x.shape[0]:
         raise ShapeMismatch(f"row index out of range for {x.shape[0]} rows")
     data = x.data[idx]
+    x_shape = x.shape
 
     def backward(g: Array) -> list[Array | None]:
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(x_shape, dtype=np.float32)
         np.add.at(gx, idx, g)
         return [gx]
 
@@ -344,10 +365,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul inner dims: {a.shape} @ {b.shape}")
     data = a.data @ b.data
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def backward(g: Array) -> list[Array | None]:
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
+        ga = g @ bd.T if bd is not None else None
+        gb = ad.T @ g if ad is not None else None
         return [ga, gb]
 
     return _make(data, "matmul", (a, b), backward)
@@ -520,16 +543,17 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     # keep the whole-batch patch matrix only when the kernel gradient will be needed
     cols = np.empty((c * kh * kw, n * oh * ow), dtype=np.float32) if kernel.requires_grad else None
     out = conv_forward(x.data, kernel.data, stride, pad, cols)
+    kdata, need_dx = kernel.data, x.requires_grad
 
     def backward(g: Array) -> list[Array | None]:
         gmat = g.reshape(f, n * oh * ow)
         gx = gw = None
-        if kernel.requires_grad:
+        if cols is not None:
             # gmat @ cols.T's dot products, in the operand order OpenBLAS packs about twice as fast
             gw = (cols @ gmat.T).T.reshape(f, c, kh, kw)
-        if x.requires_grad:
-            taps = np.ascontiguousarray(kernel.data.transpose(2, 3, 1, 0))  # (kh,kw,C,F)
-            gx = np.empty(x.shape, dtype=np.float32)
+        if need_dx:
+            taps = np.ascontiguousarray(kdata.transpose(2, 3, 1, 0))  # (kh,kw,C,F)
+            gx = np.empty((c, n, h, w), dtype=np.float32)
             for frames, part in _frame_slices(n, oh * ow):
                 _col2im(taps, gmat[:, part], gx[:, frames], stride, pad, oh, ow)
         return [gx, gw]
@@ -599,23 +623,24 @@ def batchnorm2d(
     xhat *= inv_std
     out = gamma.data.reshape(bc) * xhat
     out += beta.data.reshape(bc)
+    gamma_data, m = gamma.data, x.data.size // c
+    need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def backward(g: Array) -> list[Array | None]:
         gxhat_sum = (g * xhat).sum(axis=axes, keepdims=True)
         gsum = g.sum(axis=axes, keepdims=True)
         gx = None
-        if x.requires_grad:
-            gw = gamma.data.reshape(bc) * inv_std
+        if need_x:
+            gw = gamma_data.reshape(bc) * inv_std
             if mode == "eval":
                 gx = g * gw
             else:
                 # gw * (g - gsum / m - xhat * gxhat_sum / m): the same ops in the same order, in place
-                m = x.data.size // c
                 gx = g - gsum / m
                 gx -= xhat * gxhat_sum / m
                 gx *= gw
-        ggamma = gxhat_sum.reshape(c) if gamma.requires_grad else None
-        gbeta = gsum.reshape(c) if beta.requires_grad else None
+        ggamma = gxhat_sum.reshape(c) if need_gamma else None
+        gbeta = gsum.reshape(c) if need_beta else None
         return [gx, ggamma, gbeta, None, None]
 
     return _make(out, "batchnorm2d", (x, gamma, beta, running_mean, running_var), backward)
@@ -630,7 +655,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
     def backward(g: Array) -> list[Array | None]:
         # order="C": g.T is frame-major, and a gradient laid out like it would slow every op below
-        gx = np.broadcast_to(g.T[:, :, None, None] / np.float32(h * w), x.shape).astype(np.float32, order="C")
+        gx = np.broadcast_to(g.T[:, :, None, None] / np.float32(h * w), (c, n, h, w)).astype(np.float32, order="C")
         return [gx]
 
     return _make(data, "global_avg_pool", (x,), backward)
@@ -640,22 +665,22 @@ def global_avg_pool(x: Tensor) -> Tensor:
 # backward pass
 
 
-def tape_order(root: Tensor) -> list[Tensor]:
-    """Tensors carrying Node records reachable from ``root``, inputs first."""
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+def tape_order(root: Node) -> list[Node]:
+    """Nodes reachable from ``root``, inputs first."""
+    order: list[Node] = []
+    seen: set[Node] = set()
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
-        t, expanded = stack.pop()
+        node, expanded = stack.pop()
         if expanded:
-            order.append(t)
+            order.append(node)
             continue
-        if id(t) in seen or t.node is None:
+        if node in seen:
             continue
-        seen.add(id(t))
-        stack.append((t, True))
-        for p in t.node.parents:
-            if p.node is not None and id(p) not in seen:
+        seen.add(node)
+        stack.append((node, True))
+        for p in node.parents:
+            if isinstance(p, Node) and p not in seen:
                 stack.append((p, False))
     return order
 
@@ -673,33 +698,32 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
     if not np.isfinite(loss.data.reshape(())):
         raise NonFiniteLoss("loss is not finite")
 
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     leaf_grads: dict[Tensor, Tensor] = {}
     if loss.node is None:
         if loss.requires_grad:
             leaf_grads[loss] = Tensor(np.ones_like(loss.data))
         return leaf_grads
 
-    for t in reversed(tape_order(loss)):
-        g = grads.pop(id(t), None)
+    grads: dict[Node | Tensor, Array] = {loss.node: np.ones_like(loss.data)}
+    for node in reversed(tape_order(loss.node)):
+        g = grads.pop(node, None)
         if g is None:
             continue
-        parent_grads = t.node.backward_fn(g)
-        for p, pg in zip(t.node.parents, parent_grads):
-            if pg is None or not p.requires_grad:
+        parent_grads = node.backward_fn(g)
+        for p, pg in zip(node.parents, parent_grads):
+            if pg is None or p is None:
                 continue
             # g itself was checked when it was formed; a gradient passed through, or formed
             # from g by an op that cannot make NaN/Inf (relu's g * mask), is not scanned again
-            if pg is not g and not t.node.finite:
-                _ensure_finite(pg, f"backward[{t.node.op}]")
-            key = id(p)
-            if key in grads:
-                grads[key] = grads[key] + pg
-                _ensure_finite(grads[key], f"backward[{t.node.op}] accumulation")
+            if pg is not g and not node.finite:
+                _ensure_finite(pg, f"backward[{node.op}]")
+            if p in grads:
+                grads[p] = grads[p] + pg
+                _ensure_finite(grads[p], f"backward[{node.op}] accumulation")
             else:
-                grads[key] = pg
-            if p.node is None:
-                leaf_grads[p] = Tensor._unchecked(grads[key])
+                grads[p] = pg
+            if isinstance(p, Tensor):
+                leaf_grads[p] = Tensor._unchecked(grads[p])
     return leaf_grads
 
 

@@ -8,7 +8,7 @@ import pytest
 import tempt.adapt as adapt_mod
 from tempt import adapt, data, model, temporal
 from tempt import tensor as T
-from tempt.errors import NoAdaptableParams, NonFiniteLoss
+from tempt.errors import LabelOutOfRange, NoAdaptableParams, NonFiniteLoss
 
 
 def small_video(rng, t=64, hw=8, noise=0.05, shift=None):
@@ -44,6 +44,18 @@ def test_trainable_subset_requires_bn(tiny_spec):
     params.add("w", np.ones(3, dtype=np.float32), model.GROUP_OTHER)
     with pytest.raises(NoAdaptableParams):
         adapt.trainable_subset(params, "tempt")
+
+
+@pytest.mark.parametrize("method", adapt.METHODS)
+def test_label_out_of_range_raises_before_any_forward(tiny_params, video, monkeypatch, method):
+    calls = []
+    real_forward = model.forward
+    monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append(1) or real_forward(*a, **k))
+    labels = video.labels.copy()
+    labels[5] = 99
+    with pytest.raises(LabelOutOfRange, match=r"^labels outside \[0,8\)$"):
+        adapt.adapt_video(tiny_params, video.frames, tempt_config(method=method), labels=labels)
+    assert calls == []
 
 
 def test_steps_zero_is_bitwise_noop(tiny_params, video):

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -326,6 +329,27 @@ def test_labels_only_sidecar_exits_0(capsys, workdir, trained_weights, command, 
     assert json.loads(out)["command"] == command
 
 
+@pytest.mark.parametrize("method", ["tempt", "tent", "none"])
+def test_adapt_label_out_of_range_exits_2_before_any_forward(capsys, caplog, workdir, trained_weights, monkeypatch, method):
+    from tempt import model
+
+    clip = make_video_file(workdir)
+    path = workdir / "label_99.tten"
+    path.write_bytes(clip.read_bytes())
+    labels = json.loads(Path(f"{clip}.json").read_text())["labels"]
+    Path(f"{path}.json").write_text(json.dumps({"labels": [99] + labels[1:]}))
+    calls = []
+    real_forward = model.forward
+    monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append(1) or real_forward(*a, **k))
+    argv = ["adapt", "--weights", str(trained_weights), "--config", str(workdir / "config.json"), "--video", str(path)]
+    code, out = run_cli(capsys, argv + ["--method", method])
+    assert code == 2
+    assert out == ""
+    assert calls == []
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["labels outside [0,8)"]
+
+
 @pytest.mark.parametrize("label", [1e30, 1.5, True], ids=["huge-float", "fraction", "boolean"])
 def test_eval_sidecar_label_not_a_json_integer_exits_2(capsys, workdir, trained_weights, label):
     clip = make_video_file(workdir)
@@ -359,6 +383,30 @@ def test_train_huge_model_exits_2_without_weights(capsys, caplog, workdir, field
     assert not out_path.exists()
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and entry in errors[0]
+
+
+@pytest.mark.parametrize(
+    "section,field,size",
+    [("model", "input_hw", 2**40), ("benchmark", "frames_per_video", 10**15)],
+    ids=["input_hw", "frames_per_video"],
+)
+def test_unallocatable_video_size_exits_2(workdir, section, field, size):
+    """Both sizes lie past the x86-64 address space, so numpy refuses them at once.
+
+    Runs in a subprocess with a timeout, so a generator that never ends
+    fails the test instead of hanging it.
+    """
+    huge = workdir / f"huge-video-{field}.json"
+    huge.write_text(json.dumps({**TINY_CONFIG, section: {**TINY_CONFIG[section], field: size}}))
+    out_path = workdir / f"huge-video-{field}.twgt"
+    argv = [sys.executable, "-m", "tempt.cli", "train", "--config", str(huge), "--out", str(out_path)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert not out_path.exists()
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("ERROR")]
+    assert len(errors) == 1 and "cannot allocate" in errors[0], proc.stderr
 
 
 def test_eval_command(capsys, workdir, trained_weights):

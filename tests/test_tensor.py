@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import platform
 import resource
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -608,12 +610,86 @@ def test_tape_topological_order_and_single_visit(rng):
     d = c * b  # diamond: b feeds both c and d
     loss = T.tensor_sum(d)
     seen = set()
-    for t in T.tape_order(loss):
-        for p in t.node.parents:
-            if p.node is not None:
-                assert id(p) in seen, "parent must precede its consumer"
-        assert id(t) not in seen, "node visited twice"
-        seen.add(id(t))
+    for node in T.tape_order(loss.node):
+        for p in node.parents:
+            if isinstance(p, T.Node):
+                assert p in seen, "parent must precede its consumer"
+        assert node not in seen, "node visited twice"
+        seen.add(node)
+    assert len(seen) == 4 and loss.node in seen
+
+
+def _conv_bn_relu_chain(mode, kernel_grad):
+    """bn -> relu -> conv -> bn -> relu -> sum on fixed data, and weakrefs to every intermediate's values.
+
+    Gamma and beta require grad; the kernel only when ``kernel_grad``.
+    Returns (loss, leaves, {label: weakref to that intermediate's data}).
+    """
+    rng = np.random.default_rng(3)
+
+    def bn_params(c):
+        return [T.Tensor(rng.uniform(0.5, 1.5, size=c).astype(np.float32), requires_grad=True),
+                T.Tensor(rng.uniform(-0.5, 0.5, size=c).astype(np.float32), requires_grad=True),
+                T.Tensor(rng.uniform(-0.5, 0.5, size=c).astype(np.float32)),
+                T.Tensor(rng.uniform(0.5, 2.0, size=c).astype(np.float32))]
+
+    bn0, bn1 = bn_params(4), bn_params(6)
+    kernel = T.Tensor(rng.uniform(-0.5, 0.5, size=(6, 4, 3, 3)).astype(np.float32), requires_grad=kernel_grad)
+    out = {"bn input": T.Tensor(rng.uniform(-1, 1, size=(4, 5, 8, 8)).astype(np.float32))}
+    out["bn output"] = T.batchnorm2d(out["bn input"], *bn0, mode=mode)
+    out["conv input"] = T.relu(out["bn output"])
+    out["conv output"] = T.conv2d(out["conv input"], kernel, stride=1, pad=1)
+    out["second bn output"] = T.batchnorm2d(out["conv output"], *bn1, mode=mode)
+    out["relu output"] = T.relu(out["second bn output"])
+    loss = T.tensor_sum(out["relu output"])
+    return loss, [*bn0[:2], *bn1[:2], kernel], {label: weakref.ref(t.data) for label, t in out.items()}
+
+
+@pytest.mark.parametrize("mode,kernel_grad", [("eval", False), ("train", True)], ids=["adapt", "train"])
+def test_tape_keeps_no_value_backward_never_reads(mode, kernel_grad):
+    """While the loss is alive, the conv, batch-norm and relu outputs (and the conv's input) die with the caller's refs.
+
+    Backward then gives the same gradient bytes as on a graph whose
+    intermediates the caller kept.
+    """
+    kept_loss, kept_leaves, _ = _conv_bn_relu_chain(mode, kernel_grad)
+    want = T.backward(kept_loss)
+    loss, leaves, refs = _conv_bn_relu_chain(mode, kernel_grad)
+    alive = [label for label, ref in refs.items() if ref() is not None]
+    assert alive == [], f"the tape keeps {alive}"
+    got = T.backward(loss)
+    assert len(got) == len(want) == (5 if kernel_grad else 4)
+    for leaf, kept_leaf in zip(leaves[: len(got)], kept_leaves):
+        assert got[leaf].data.tobytes() == want[kept_leaf].data.tobytes(), leaf.shape
+
+
+def test_tape_holds_xhat_and_relu_masks_only():
+    """An adaptation forward of the default model at 16 frames holds little more than xhat per batch norm and a bool mask per relu.
+
+    A tape that also kept every conv, batch-norm and relu output would
+    hold about three times these bytes.
+    """
+    params = model.build_model(model.ModelSpec(), 0)
+    frames = np.random.default_rng(0).uniform(-1, 1, size=(16, 3, 32, 32)).astype(np.float32)
+    leaves = params.leaves(trainable=set(params.names_in_group(model.GROUP_BN_AFFINE)))
+    sizes = []  # (elements, bytes per element) of each batch norm's xhat and each relu's mask
+    real_bn, real_relu = T.batchnorm2d, T.relu
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "batchnorm2d", lambda x, *a, **k: sizes.append((x.data.size, 4)) or real_bn(x, *a, **k))
+        mp.setattr(T, "relu", lambda x: sizes.append((x.data.size, 1)) or real_relu(x))
+        model.forward(params, frames, mode="eval", leaves=leaves)
+    tape_bytes = sum(n * b for n, b in sizes)
+    assert len(sizes) == 18 and tape_bytes == 2_917_376
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        z = model.forward(params, frames, mode="eval", leaves=leaves)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert z.node is not None
+    # about 38 KB more: the logits, the head's small arrays and the nodes themselves
+    assert tape_bytes <= held <= tape_bytes + 100_000, (held, tape_bytes)
 
 
 def test_diamond_grad_accumulation():
