@@ -3,6 +3,9 @@
 Every adaptation starts from the same base parameters (no cross-video
 carryover), per-task seeds derive from one master seed, and aggregation
 is order-independent, so the whole table is reproducible bit for bit.
+An aborted adaptation reports the static model's numbers; its row says
+``aborted`` and the summary counts such runs, so it is never read as a
+result.
 """
 
 from __future__ import annotations
@@ -107,6 +110,7 @@ def _init_worker(base_params: ModelParams, videos: list[SyntheticVideo]) -> None
 
 
 def _run_task(args: tuple[int, str, int, int, AdaptConfig]) -> dict:
+    """One task's row, with the abort message under ``diagnostic`` (None when it ran through)."""
     video_idx, method, repeat, seed, adapt_cfg = args
     params = _WORKER["params"]
     video = _WORKER["videos"][video_idx]
@@ -121,6 +125,8 @@ def _run_task(args: tuple[int, str, int, int, AdaptConfig]) -> dict:
         "f1_after": report.f1_after,
         "norm_changes_before": report.norm_changes_before,
         "norm_changes_after": report.norm_changes_after,
+        "aborted": report.diagnostic is not None,
+        "diagnostic": report.diagnostic,
     }
 
 
@@ -130,6 +136,7 @@ class BenchmarkResult:
     summary: dict
     table: dict
     model_name: str
+    aborts: list[tuple[int, str, int, str]]  # (video, method, repeat, diagnostic) of each aborted task, in task order
 
     def table_csv(self) -> str:
         return _csv(["model", *self.table], [[self.model_name, *self.table.values()]])
@@ -165,6 +172,7 @@ def _aggregate(rows: list[dict], methods: tuple[str, ...]) -> dict:
                 f"{metric}_after_sd": float(np.std(by_rep)),
             }
         summary[method]["runs"] = len(sub)
+        summary[method]["aborted"] = sum(r["aborted"] for r in sub)
     return summary
 
 
@@ -217,6 +225,8 @@ def run_benchmark(
         finally:
             _WORKER.clear()  # the caller's parameters and videos must not outlive the call
 
+    aborts = [(r["video"], r["method"], r["repeat"], d) for r in rows if (d := r.pop("diagnostic")) is not None]
+
     # replicate the seed-free rows up to `repeats`
     expanded: list[dict] = []
     for row in rows:
@@ -228,4 +238,4 @@ def run_benchmark(
 
     summary = _aggregate(expanded, methods)
     table = {col: summary[m]["f1_after_mean"] if m in summary else float("nan") for m, col in TABLE_COLUMNS.items()}
-    return BenchmarkResult(rows=expanded, summary=summary, table=table, model_name=model_name)
+    return BenchmarkResult(rows=expanded, summary=summary, table=table, model_name=model_name, aborts=aborts)

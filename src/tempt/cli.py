@@ -2,7 +2,8 @@
 
 stdout carries exactly one machine-readable JSON document per run; all
 human-facing logging goes to stderr. Exit codes: 0 ok, 2 config error,
-3 training diverged, 4 adaptation aborted, 5 gradcheck failure.
+3 training diverged, 4 adaptation aborted (for ``benchmark``: any task,
+after its artefacts are written), 5 gradcheck failure.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_ADAPT_ABORTED = 4
 EXIT_GRADCHECK = 5
+
+ABORTS_SHOWN = 3  # aborted benchmark tasks named on stderr
 
 
 def _emit(doc: dict) -> None:
@@ -191,6 +194,11 @@ def cmd_benchmark(args) -> int:
     (out_dir / "table.csv").write_text(result.table_csv())
     (out_dir / "details.csv").write_text(result.details_csv())
     _emit(doc)
+    if result.aborts:
+        log.error("%d adaptation task(s) aborted; their rows report the static model", len(result.aborts))
+        for video, method, repeat, diagnostic in result.aborts[:ABORTS_SHOWN]:
+            log.error("aborted: video %d, method %s, repeat %d: %s", video, method, repeat, diagnostic)
+        return EXIT_ADAPT_ABORTED
     return EXIT_OK
 
 

@@ -29,9 +29,19 @@ nodes, not tensors: a node keeps its inputs' nodes (or the leaf itself, for
 a leaf that requires grad) and a backward closure that holds only the
 arrays its backward reads, such as a batch norm's xhat and a relu's bool
 mask; never an op's input or output. So an intermediate's values die with
-its last reference outside the tape. Each backward pass assembles its own
-topologically ordered tape from the loss node, so forwards over distinct
-inputs can run concurrently.
+its last reference outside the tape. One exception trades two elementwise
+passes for memory: an eval-mode batch norm whose input is off the tape (it
+needs no grad, so it has no node) keeps that input in place of xhat, and
+backward recomputes xhat with the forward's own ops, so the bytes are the
+same. A caller such as adapt_video holds that input anyway; one that drops
+it leaves the tape an array of xhat's size, as before. Each backward pass
+assembles its own topologically ordered tape from the loss node, so
+forwards over distinct inputs can run concurrently.
+
+A tape is single-use: backward drops each node's closure as it reaches
+it, so the arrays a closure holds die as the walk passes them rather than
+with the loss, and a second backward through the same nodes raises
+ValueError.
 
 Importing this module tunes glibc's allocator for the whole process (on
 other C libraries it does nothing): blocks up to 32 MiB come from the heap
@@ -97,7 +107,8 @@ class Node:
     ``parents`` holds one entry per op input: the input's Node, the input
     itself when it is a leaf that requires grad, or None for a constant.
     ``backward_fn(grad_out)`` returns one gradient array (or None) per
-    entry. ``finite`` is ``_make``'s flag.
+    entry; ``backward`` sets it to None when it reaches the node.
+    ``finite`` is ``_make``'s flag.
     """
 
     __slots__ = ("op", "parents", "backward_fn", "finite")
@@ -565,6 +576,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 # batch normalization
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing output raises NonFiniteValue, unwarned
 def batchnorm2d(
     x: Tensor,
     gamma: Tensor,
@@ -625,9 +637,17 @@ def batchnorm2d(
     out += beta.data.reshape(bc)
     gamma_data, m = gamma.data, x.data.size // c
     need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    # an off-tape input in eval mode is kept in place of xhat (see the module docstring)
+    x_kept = x.data if mode == "eval" and not need_x else None
+    if x_kept is not None:
+        xhat, mu = None, mu.copy()
 
     def backward(g: Array) -> list[Array | None]:
-        gxhat_sum = (g * xhat).sum(axis=axes, keepdims=True)
+        xh = xhat
+        if xh is None:
+            xh = x_kept - mu
+            xh *= inv_std
+        gxhat_sum = (g * xh).sum(axis=axes, keepdims=True)
         gsum = g.sum(axis=axes, keepdims=True)
         gx = None
         if need_x:
@@ -637,7 +657,7 @@ def batchnorm2d(
             else:
                 # gw * (g - gsum / m - xhat * gxhat_sum / m): the same ops in the same order, in place
                 gx = g - gsum / m
-                gx -= xhat * gxhat_sum / m
+                gx -= xh * gxhat_sum / m
                 gx *= gw
         ggamma = gxhat_sum.reshape(c) if need_gamma else None
         gbeta = gsum.reshape(c) if need_beta else None
@@ -691,7 +711,9 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
 
     Returns gradients for every requires_grad leaf reachable from the
     loss, keyed by the leaf tensor itself. Leaves with requires_grad
-    False get no entry.
+    False get no entry. Each node's ``backward_fn`` is set to None as the
+    walk reaches it, and the arrays it held are freed once it has run;
+    reaching a node an earlier backward already walked raises ValueError.
     """
     if loss.data.size != 1:
         raise NonScalarLoss(f"loss has shape {loss.shape}")
@@ -706,10 +728,14 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
 
     grads: dict[Node | Tensor, Array] = {loss.node: np.ones_like(loss.data)}
     for node in reversed(tape_order(loss.node)):
+        fn, node.backward_fn = node.backward_fn, None
+        if fn is None:
+            raise ValueError(f"backward reached a '{node.op}' node an earlier backward already ran: a tape is single-use")
         g = grads.pop(node, None)
         if g is None:
             continue
-        parent_grads = node.backward_fn(g)
+        parent_grads = fn(g)
+        del fn
         for p, pg in zip(node.parents, parent_grads):
             if pg is None or p is None:
                 continue

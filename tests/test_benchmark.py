@@ -89,7 +89,7 @@ def test_csv_shapes(mini):
     assert table_lines[1].startswith("cnn4-8,")
     detail_lines = res.details_csv().strip().splitlines()
     assert len(detail_lines) == 1 + len(res.rows)
-    assert detail_lines[0] == "video,method,repeat,seed,f1_before,f1_after,norm_changes_before,norm_changes_after"
+    assert detail_lines[0] == "video,method,repeat,seed,f1_before,f1_after,norm_changes_before,norm_changes_after,aborted"
 
 
 @pytest.mark.parametrize("region_sample", [False, True])

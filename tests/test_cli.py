@@ -477,6 +477,41 @@ def test_benchmark_outputs(capsys, workdir, trained_weights):
     details = (out_dir / "details.csv").read_text().splitlines()
     assert details[0].startswith("video,method,repeat,seed")
     assert len(details) == 1 + len(doc["rows"])
+    assert not any(row["aborted"] for row in doc["rows"])
+    assert all(doc["summary"][m]["aborted"] == 0 for m in doc["summary"])
+
+
+def _benchmark_with(capsys, workdir, trained_weights, name, adapt_overrides, jobs):
+    """(exit code, benchmark.json) of ``tempt benchmark`` on the tiny config with ``adapt`` overrides."""
+    cfg = {**TINY_CONFIG, "adapt": {**TINY_CONFIG["adapt"], **adapt_overrides}}
+    (workdir / f"{name}.json").write_text(json.dumps(cfg))
+    out_dir = workdir / name
+    argv = ["benchmark", "--weights", str(trained_weights), "--config", str(workdir / f"{name}.json"), "--out", str(out_dir)]
+    code, out = run_cli(capsys, argv + ["--jobs", str(jobs)])
+    doc = json.loads((out_dir / "benchmark.json").read_text())
+    assert json.loads(out) == doc
+    assert (out_dir / "table.csv").is_file() and (out_dir / "details.csv").is_file()
+    return code, doc
+
+
+def test_benchmark_with_aborted_tasks_writes_artefacts_then_exits_4(capsys, caplog, workdir, trained_weights):
+    # an lr of 1e30 throws the affine parameters to about 1e30 in the first step; the next forward overflows
+    code, doc = _benchmark_with(capsys, workdir, trained_weights, "bench_lr_huge", {"lr": 1e30}, jobs=1)
+    assert code == 4
+    assert all(row["aborted"] == (row["method"] != "none") for row in doc["rows"])
+    assert {m: s["aborted"] for m, s in doc["summary"].items()} == {"none": 0, "tent": 4, "tempt": 4}
+    details = (workdir / "bench_lr_huge" / "details.csv").read_text().splitlines()
+    assert details[0].endswith(",aborted") and sum(line.endswith(",True") for line in details) == 8
+    named = [r.getMessage() for r in caplog.records if r.levelname == "ERROR" and r.getMessage().startswith("aborted:")]
+    assert len(named) == cli.ABORTS_SHOWN
+    assert named[0].startswith("aborted: video 0, method tent, repeat 0: ") and "non-finite" in named[0]
+
+
+def test_benchmark_abort_rows_do_not_depend_on_jobs(capsys, workdir, trained_weights):
+    code1, serial = _benchmark_with(capsys, workdir, trained_weights, "bench_lr_huge_j1", {"lr": 1e30}, jobs=1)
+    code2, pooled = _benchmark_with(capsys, workdir, trained_weights, "bench_lr_huge_j2", {"lr": 1e30}, jobs=2)
+    assert code1 == code2 == 4
+    assert serial["rows"] == pooled["rows"] and serial["summary"] == pooled["summary"]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

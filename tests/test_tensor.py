@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempt import adapt, model
+from tempt import adapt, losses, model
 from tempt import tensor as T
 from tempt.errors import (
     InvalidStride,
@@ -550,6 +550,25 @@ def test_batchnorm_train_matches_reference_bytes(rng, default_model_layers, n):
             assert a.tobytes() == b.tobytes(), (label, c, h)
 
 
+@pytest.mark.parametrize("shape", [(16, 128, 32, 32), (3, 7, 5, 9)], ids=["stem", "odd"])
+def test_batchnorm_eval_off_tape_input_gives_xhat_path_bytes(shape):
+    """An eval batch norm that recomputes xhat from an off-tape input gives the affine gradients of the kept-xhat path."""
+    rng = np.random.Generator(np.random.PCG64(11))
+    c = shape[0]
+    x = rng.normal(0.3, 2.0, size=shape).astype(np.float32)
+    g = rng.standard_normal(shape).astype(np.float32)
+    stats = [T.Tensor(rng.normal(0, 0.3, size=c).astype(np.float32)), T.Tensor(rng.uniform(0.5, 2.0, size=c).astype(np.float32))]
+    affine = [rng.uniform(0.5, 1.5, size=c).astype(np.float32), rng.normal(0, 0.3, size=c).astype(np.float32)]
+    got = []
+    for x_grad in (False, True):  # off the tape (recomputes xhat), then a leaf that needs grad (keeps xhat)
+        gamma, beta = (T.Tensor(a, requires_grad=True) for a in affine)
+        out = T.batchnorm2d(T.Tensor(x, requires_grad=x_grad), gamma, beta, *stats, eps=model.BN_EPS, mode="eval")
+        got.append(out.node.backward_fn(g)[1:3])
+    (ggamma, gbeta), (want_ggamma, want_gbeta) = got
+    assert ggamma.tobytes() == want_ggamma.tobytes()
+    assert gbeta.tobytes() == want_gbeta.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # pooling
 
@@ -649,14 +668,24 @@ def _conv_bn_relu_chain(mode, kernel_grad):
 def test_tape_keeps_no_value_backward_never_reads(mode, kernel_grad):
     """While the loss is alive, the conv, batch-norm and relu outputs (and the conv's input) die with the caller's refs.
 
-    Backward then gives the same gradient bytes as on a graph whose
-    intermediates the caller kept.
+    The eval batch norm over the off-tape "bn input" keeps that input,
+    and no xhat-sized array besides it, to recompute xhat from. Backward
+    then gives the same gradient bytes as on a graph whose intermediates
+    the caller kept.
     """
     kept_loss, kept_leaves, _ = _conv_bn_relu_chain(mode, kernel_grad)
     want = T.backward(kept_loss)
     loss, leaves, refs = _conv_bn_relu_chain(mode, kernel_grad)
     alive = [label for label, ref in refs.items() if ref() is not None]
-    assert alive == [], f"the tape keeps {alive}"
+    if mode == "eval":
+        assert alive == ["bn input"], f"the tape keeps {alive}"
+        first_bn = next(n for n in T.tape_order(loss.node) if n.op == "batchnorm2d" and n.parents[0] is None)
+        held = [cell.cell_contents for cell in first_bn.backward_fn.__closure__]
+        big = [a for a in held if isinstance(a, np.ndarray) and a.size == refs["bn input"]().size]
+        assert len(big) == 1 and big[0] is refs["bn input"]()
+        del held, big
+    else:
+        assert alive == [], f"the tape keeps {alive}"
     got = T.backward(loss)
     assert len(got) == len(want) == (5 if kernel_grad else 4)
     for leaf, kept_leaf in zip(leaves[: len(got)], kept_leaves):
@@ -690,6 +719,47 @@ def test_tape_holds_xhat_and_relu_masks_only():
     assert z.node is not None
     # about 38 KB more: the logits, the head's small arrays and the nodes themselves
     assert tape_bytes <= held <= tape_bytes + 100_000, (held, tape_bytes)
+
+
+def test_tempt_step_memory_budget():
+    """One tempt step (forward, loss, backward) of the default model on 128 frames peaks under 31 MB of traced memory.
+
+    The stem is precomputed and the bn_affine parameters are the leaves,
+    as in ``adapt_video``. The measured peak is 29.4 MB: the stem batch
+    norm keeps the caller's stem map instead of its own xhat, and backward
+    frees each closure once it has run. A tape that held its closures
+    until the loss died, and the stem's xhat, peaked at 50.7 MB here.
+    """
+    params = model.build_model(model.ModelSpec(), 0)
+    rng = np.random.Generator(np.random.PCG64(5))
+    frames = rng.uniform(-1, 1, size=(128, 3, 32, 32)).astype(np.float32)
+    target = rng.standard_normal((128, params.spec.num_classes)).astype(np.float32)
+    stem = model.stem_conv(params, frames)
+    affine = params.names_in_group(model.GROUP_BN_AFFINE)
+    leaves = params.leaves(trainable=set(affine))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        z = model.forward(params, frames, mode="eval", leaves=leaves, stem=stem)
+        grads = T.backward(losses.temporal_consistency_loss(z, target))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(grads) == len(affine)
+    assert peak < 31_000_000, peak
+
+
+def test_backward_releases_every_closure_and_refuses_a_second_pass(rng):
+    """A tape is single-use: backward drops each node's closure, and a second walk raises naming the op."""
+    w = T.Tensor(rng.uniform(-1, 1, size=(3,)).astype(np.float32), requires_grad=True)
+    b = w * w
+    loss = T.tensor_sum(b * T.relu(b + w))
+    nodes = T.tape_order(loss.node)
+    first = T.backward(loss)
+    assert len(nodes) == 5 and all(node.backward_fn is None for node in nodes)
+    assert w in first
+    with pytest.raises(ValueError, match="'sum' node .*single-use"):
+        T.backward(loss)
 
 
 def test_diamond_grad_accumulation():
