@@ -4,8 +4,8 @@ Every adaptation starts from the same base parameters (no cross-video
 carryover), per-task seeds derive from one master seed, and aggregation
 is order-independent, so the whole table is reproducible bit for bit.
 An aborted adaptation reports the static model's numbers; its row says
-``aborted`` and the summary counts such runs, so it is never read as a
-result.
+``aborted``, the summary counts such runs and leaves them out of every
+after-adaptation mean, so it is never read as a result.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .adapt import METHODS, AdaptConfig, adapt_video
 from .data import DEFAULT_PATCH, ShiftRanges, SyntheticVideo, class_templates, make_videos
 from .errors import InvalidRange, at_least
 from .model import ModelParams
+from .tensor import run_slices_inline
 
 DEFAULT_TRAIN_SHIFT = ShiftRanges(brightness=(-0.08, 0.08), contrast=(0.9, 1.1), channel_gain=(0.9, 1.1))
 DEFAULT_TEST_SHIFT = ShiftRanges(brightness=(-0.30, 0.30), contrast=(0.55, 1.45), channel_gain=(0.55, 1.45))
@@ -104,7 +105,9 @@ def _task_seed(master_seed: int, video_idx: int, method: str, repeat: int) -> in
 _WORKER: dict = {}
 
 
-def _init_worker(base_params: ModelParams, videos: list[SyntheticVideo]) -> None:
+def _init_worker(base_params: ModelParams, videos: list[SyntheticVideo], inline: bool = False) -> None:
+    if inline:  # a spawned worker: the jobs already fill the cores
+        run_slices_inline()
     _WORKER["params"] = base_params
     _WORKER["videos"] = videos
 
@@ -157,19 +160,22 @@ def _aggregate(rows: list[dict], methods: tuple[str, ...]) -> dict:
 
     One repeat is one full pass over the video set with its own seeds, so
     the spread is the standard deviation across the per-repeat means: the
-    deterministic static method reports exactly zero.
+    deterministic static method reports exactly zero. The after-adaptation
+    figures leave aborted rows out (a repeat whose every run aborted drops
+    out), and are NaN when every run of the method aborted.
     """
     summary: dict = {}
     for method in methods:
         sub = [r for r in rows if r["method"] == method]
-        repeats = sorted({r["repeat"] for r in sub})
+        ran = [r for r in sub if not r["aborted"]]
+        repeats = sorted({r["repeat"] for r in ran})
         summary[method] = {}
         for metric in ("f1", "norm_changes"):
-            by_rep = [np.mean([r[f"{metric}_after"] for r in sub if r["repeat"] == rep]) for rep in repeats]
+            by_rep = [np.mean([r[f"{metric}_after"] for r in ran if r["repeat"] == rep]) for rep in repeats]
             summary[method] |= {
                 f"{metric}_before_mean": float(np.mean([r[f"{metric}_before"] for r in sub])),
-                f"{metric}_after_mean": float(np.mean(by_rep)),
-                f"{metric}_after_sd": float(np.std(by_rep)),
+                f"{metric}_after_mean": float(np.mean(by_rep)) if by_rep else float("nan"),
+                f"{metric}_after_sd": float(np.std(by_rep)) if by_rep else float("nan"),
             }
         summary[method]["runs"] = len(sub)
         summary[method]["aborted"] = sum(r["aborted"] for r in sub)
@@ -209,7 +215,7 @@ def run_benchmark(
                 max_workers=jobs,
                 mp_context=get_context("spawn"),
                 initializer=_init_worker,
-                initargs=(base_params, videos),
+                initargs=(base_params, videos, True),
             ) as pool:
                 rows = list(pool.map(_run_task, tasks, chunksize=1))
         finally:

@@ -18,11 +18,14 @@ before/after logit series of an adaptation) it runs in eval mode only,
 tape-free: it owns its buffers and applies batch norm, relu and the
 residual add in place on each conv's own output, in the same float32 ops
 and order. Its trunk (stem through pooled features) runs on
-``tensor.FRAME_SLICE`` frames at a time, the slice every conv runs in,
-which gives the same bytes under any slicing; its head runs once over the
-whole batch, because BLAS rounds the head's small matmuls differently by
-row count. Both routes give identical logits and check each new array for
-non-finite values once.
+``tensor.FRAME_SLICE`` (16) frames at a time, the slice every conv runs
+in, which gives the same bytes under any slicing. The trunk slices run at
+once on ``tensor``'s slice pool, each writing only its own rows of the
+pooled features, in a copy of the caller's context (so the forward's
+errstate holds in it); the convs inside a slice run inline. Its head runs
+once over the whole batch, because BLAS rounds the head's small matmuls
+differently by row count. Both routes give identical logits and check
+each new array for non-finite values once.
 """
 
 from __future__ import annotations
@@ -292,8 +295,8 @@ def _forward_untracked(params: ModelParams, frames: np.ndarray) -> T.Tensor:
     prefixes = [n.removesuffix(".running_var") for n in params.names_in_group(GROUP_BN_STATS) if n.endswith(".running_var")]
     bn = {prefix: _bn_constants(params, prefix) for prefix in prefixes}
     feat = np.empty((frames.shape[0], spec.stages[-1][0]), dtype=np.float32)
-    for lo in range(0, frames.shape[0], T.FRAME_SLICE):
-        part = slice(lo, lo + T.FRAME_SLICE)
+
+    def trunk_slice(part: slice, _) -> None:
         out = _trunk(
             spec,
             _conv(frames[part].transpose(1, 0, 2, 3), params["stem.conv.w"].array, 1, 1),
@@ -305,6 +308,8 @@ def _forward_untracked(params: ModelParams, frames: np.ndarray) -> T.Tensor:
         pooled = out.mean(axis=(2, 3), dtype=np.float32)
         T._ensure_finite(pooled, "global_avg_pool")
         feat[part] = pooled.T
+
+    T.run_frame_slices(trunk_slice, frames.shape[0], 1)
     head = {name: T.Tensor._unchecked(params[name].array) for name in ("head.fc1.w", "head.fc1.b", "head.out.w")}
     return _head(spec, head, T.Tensor._unchecked(feat))
 

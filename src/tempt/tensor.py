@@ -16,12 +16,28 @@ global_avg_pool hands the head (N, C) rows. conv2d takes only inputs of
 exactly stride times its output size, H = stride*H' and W = stride*W',
 as every conv of the model is, and raises ShapeMismatch for any other.
 
-A conv runs its forward and its input gradient FRAME_SLICE frames at a
-time along axis 1, so each slice's patch matrix and tap products stay
+A conv runs its forward and its input gradient FRAME_SLICE (16) frames
+at a time along axis 1, so each slice's patch matrix and tap products stay
 near cache size whatever the batch; every output column and every input
 gradient pixel is the same dot product in the same order under any
 slicing, so the bytes do not depend on it. The kernel gradient stays one
 GEMM over the whole batch's patch matrix, kept only when it is needed.
+
+The slices of one call run at once on a module-level thread pool, one
+thread per CPU this process may run on, divided by the thread count BLAS
+takes from the environment (``run_frame_slices``): with BLAS on one
+thread, as ``OPENBLAS_NUM_THREADS=1`` sets it, that is every CPU; with
+BLAS's default of every CPU there is no pool, because pooled slices whose
+GEMMs each fan out over every core ran slower than serial ones. numpy and
+BLAS release the GIL in the arithmetic. Each slice writes only its own
+output columns or gradient frames, so the bytes are the same as a serial
+run's. A slice runs in a copy of the caller's context, so numpy's errstate
+holds inside it; every slice finishes before the call returns or raises,
+and the error raised is the first failing slice's, in frame order. A
+slice that itself slices (a conv inside a pooled trunk slice) runs its
+slices inline: a pool thread that waited on the pool could deadlock it. A
+forked child builds its own pool, and ``run_slices_inline`` drops the pool
+in a process whose siblings already fill the cores.
 
 Tensors are immutable values once created. A graph is recorded only when
 an input requires grad, so plain inference builds no tape. The graph holds
@@ -45,16 +61,22 @@ ValueError.
 
 Importing this module tunes glibc's allocator for the whole process (on
 other C libraries it does nothing): blocks up to 32 MiB come from the heap
-instead of fresh mmaps, and up to 256 MiB of freed heap stays mapped. Every
-step of an adaptation allocates the same im2col columns, tap products and
-gradients, so later steps reuse the pages of earlier ones instead of
-faulting in new zeroed ones; RSS stays near its peak. Results do not change.
+instead of fresh mmaps, up to 256 MiB of freed heap stays mapped, and every
+thread allocates from the one main arena. Every step of an adaptation
+allocates the same im2col columns, tap products and gradients, so later
+steps reuse the pages of earlier ones instead of faulting in new zeroed
+ones, whichever thread frees or takes them; RSS stays near its peak.
+Results do not change.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
+import functools
+import os
 import platform
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,10 +93,11 @@ from .errors import (
 Array = np.ndarray
 
 BN_MOMENTUM = 0.1  # weight of the batch statistic in each running-stat update
-FRAME_SLICE = 32  # frames per conv pass (forward and dx) and per tape-free trunk pass
+FRAME_SLICE = 16  # frames per conv pass (forward and dx) and per tape-free trunk pass
 
 _M_TRIM_THRESHOLD = -1  # glibc <malloc.h> parameter numbers
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_pages() -> None:
@@ -86,18 +109,27 @@ def _keep_freed_pages() -> None:
     # the trim threshold alone leaves mmap at its low threshold and faults more
     libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # glibc's maximum
     libc.mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    # one arena: otherwise each pool thread gets its own, which keeps its own freed pages
+    libc.mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_pages()
 
+_FINITE_ROW = 256
+_FINITE_ZEROS = np.zeros(_FINITE_ROW, dtype=np.float32)
+
 
 def _ensure_finite(data: Array, op: str) -> None:
-    # min/max reductions detect NaN (poisons both) and +-Inf without a bool temp
-    if data.size == 0:
-        return
-    lo = float(np.min(data))
-    hi = float(np.max(data))
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    # one pass: a row's dot with zeros is 0, or NaN when the row holds a NaN or +-Inf; only
+    # this row-dot GEMV form is safe (reference BLAS's column form skips zero vector entries)
+    flat = data.ravel(order="K")
+    m = flat.size // _FINITE_ROW
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite((flat[: m * _FINITE_ROW].reshape(m, _FINITE_ROW) @ _FINITE_ZEROS).sum())
+    tail = flat[m * _FINITE_ROW :]
+    if tail.size:  # min/max: NaN poisons both, and +-Inf shows in one
+        finite = finite and np.isfinite(tail.min()) and np.isfinite(tail.max())
+    if not finite:
         raise NonFiniteValue(f"op '{op}' produced a non-finite value")
 
 
@@ -416,30 +448,32 @@ def _conv_out_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> tup
 # only meets padding moves nothing).
 
 
-def _tap_phases(kh: int, kw: int, stride: int, pad: int):
-    """(i, j, (u, v), di, dj) for each tap, row-major."""
+@functools.lru_cache(maxsize=256)
+def _tap_plan(kh: int, kw: int, stride: int, pad: int, oh: int, ow: int, size: int):
+    """The taps of a conv over N*oh*ow = ``size`` output pixels, worked out once per shape.
+
+    Returns (taps, spills). ``taps`` holds (i, j, (u, v), out, src) for each
+    tap, row-major: its phase and the output and phase ranges of a flat
+    N*oh*ow row that its offset pairs up. ``spills`` index a (C, kh, kw, N,
+    oh, ow) view: one per tap row or column whose offset is not 0, covering
+    the output pixels of all its taps whose target is padding.
+    """
+
+    def spill(d: int) -> slice:
+        return slice(-d, None) if d > 0 else slice(None, -d)
+
+    taps = []
     for i in range(kh):
         di, u = divmod(i - pad, stride)
         for j in range(kw):
             dj, v = divmod(j - pad, stride)
-            yield i, j, (u, v), di, dj
-
-
-def _flat_pair(di: int, dj: int, ow: int, size: int) -> tuple[slice, slice]:
-    """The output and phase ranges of a flat N*oh*ow row that offset (di, dj) pairs up."""
-    shift = max(-size, min(size, di * ow + dj))
-    if shift >= 0:
-        return slice(0, size - shift), slice(shift, size)
-    return slice(-shift, size), slice(0, size + shift)
-
-
-def _zero_spill(rows: Array, n: int, oh: int, ow: int, di: int, dj: int) -> None:
-    """Zero the output pixels of (C, N*oh*ow) ``rows`` whose offset (di, dj) target is padding."""
-    grid = rows.reshape(rows.shape[0], n, oh, ow)
-    if di:
-        (grid[:, :, -di:] if di > 0 else grid[:, :, :-di]).fill(0.0)
-    if dj:
-        (grid[:, :, :, -dj:] if dj > 0 else grid[:, :, :, :-dj]).fill(0.0)
+            shift = max(-size, min(size, di * ow + dj))
+            pair = (slice(0, size - shift), slice(shift, size)) if shift >= 0 else (slice(-shift, size), slice(0, size + shift))
+            taps.append((i, j, (u, v), *pair))
+    every = slice(None)
+    spills = [(every, i, every, every, spill(d)) for i in range(kh) if (d := (i - pad) // stride)]
+    spills += [(every, every, j, every, every, spill(d)) for j in range(kw) if (d := (j - pad) // stride)]
+    return tuple(taps), tuple(spills)
 
 
 def _im2col(x: Array, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int, cols: Array | None = None) -> Array:
@@ -456,13 +490,14 @@ def _im2col(x: Array, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int,
     if cols is None:
         cols = np.empty((c * kh * kw, size), dtype=np.float32)
     taps = cols.reshape(c, kh, kw, size)
-    for i, j, uv, di, dj in _tap_phases(kh, kw, stride, pad):
-        rows = taps[:, i, j]
+    plan, spills = _tap_plan(kh, kw, stride, pad, oh, ow, size)
+    for i, j, uv, out, src in plan:
         if uv not in phases:
             phases[uv] = grid[:, :, :, uv[0], :, uv[1]].reshape(c, size)  # a view at stride 1, else a copy
-        out, src = _flat_pair(di, dj, ow, size)
-        rows[:, out] = phases[uv][:, src]
-        _zero_spill(rows, n, oh, ow, di, dj)
+        taps[:, i, j, out] = phases[uv][:, src]
+    pixels = cols.reshape(c, kh, kw, n, oh, ow)
+    for spill in spills:  # the flat copies run on into the spill; zero it once all have run
+        pixels[spill].fill(0.0)
     return cols
 
 
@@ -488,13 +523,14 @@ def _col2im(taps: Array, gmat: Array, gx: Array, stride: int, pad: int, oh: int,
         gx.fill(0.0)
     kh, kw = taps.shape[:2]
     prods = (taps.reshape(kh * kw * c, -1) @ gmat).reshape(kh, kw, c, size)
-    for i, j, uv, di, dj in _tap_phases(kh, kw, s, pad):
-        prod = prods[i, j]
-        _zero_spill(prod, n, oh, ow, di, dj)
+    plan, spills = _tap_plan(kh, kw, s, pad, oh, ow, size)
+    pixels = prods.reshape(kh, kw, c, n, oh, ow).transpose(2, 0, 1, 3, 4, 5)
+    for spill in spills:  # before the sums, so each spill pixel adds +0.0
+        pixels[spill].fill(0.0)
+    for i, j, uv, out, dst in plan:
         if uv not in phases:
             phases[uv] = np.zeros((c, size), dtype=np.float32)
-        out, dst = _flat_pair(di, dj, ow, size)
-        phases[uv][:, dst] += prod[:, out]
+        phases[uv][:, dst] += prods[i, j, :, out]
     if s > 1:
         if len(phases) < s * s:  # a phase no tap meets stays zero; one contiguous fill beats strided ones
             gx.fill(0.0)
@@ -510,14 +546,70 @@ def _frame_slices(n: int, per_frame: int):
         yield slice(lo, hi), slice(lo * per_frame, hi * per_frame)
 
 
+_POOL: ThreadPoolExecutor | None = None
+_IN_SLICE = contextvars.ContextVar("tempt_in_slice", default=False)
+
+
+def _blas_threads(cpus: int) -> int:
+    """The thread count OpenBLAS takes from the environment when it loads; every CPU when none is set."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
+
+
+def _start_pool() -> None:
+    """One slice thread per CPU this process may run on that BLAS's own threads leave free; no pool below two."""
+    global _POOL
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = cpus // _blas_threads(cpus)
+    _POOL = ThreadPoolExecutor(threads, thread_name_prefix="tempt-slice") if threads > 1 else None
+
+
+def run_slices_inline() -> None:
+    """Run every later frame slice of this process on its calling thread, for a process whose siblings fill the cores."""
+    global _POOL
+    if _POOL is not None:
+        _POOL.shutdown()
+    _POOL = None
+
+
+_start_pool()
+# a forked child has none of its parent's threads, so the parent's pool would never run its slices
+os.register_at_fork(after_in_child=lambda: _POOL is not None and _start_pool())
+
+
+def _run_in_slice(fn: Callable[[slice, slice], None], frames: slice, part: slice) -> None:
+    _IN_SLICE.set(True)  # in this slice's own copy of the caller's context
+    fn(frames, part)
+
+
+def run_frame_slices(fn: Callable[[slice, slice], None], n: int, per_frame: int) -> None:
+    """Call ``fn(frames, columns)`` for each pair of ``_frame_slices(n, per_frame)``.
+
+    Each call must write only its own block. Two or more slices run on the
+    pool (see the module docstring), unless this runs inside a slice.
+    """
+    slices = list(_frame_slices(n, per_frame))
+    if _POOL is None or len(slices) < 2 or _IN_SLICE.get():
+        for frames, part in slices:
+            fn(frames, part)
+        return
+    futures = [_POOL.submit(contextvars.copy_context().run, _run_in_slice, fn, frames, part) for frames, part in slices]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
 def conv_forward(x: Array, kernel: Array, stride: int, pad: int, cols: Array | None = None) -> Array:
     """The (F,N,H',W') output of a (C,N,H,W) map under a (F,C,kh,kw) kernel.
 
-    It runs FRAME_SLICE frames at a time: each block's patch matrix is
-    built and multiplied before the next one, and its GEMM writes
-    straight into its columns of the output. Every output column is the
-    same dot product under any slicing. The whole batch's patch matrix is
-    also written into ``cols`` when given. Unchecked and untracked:
+    It runs in FRAME_SLICE-frame slices on the slice pool: each slice
+    builds its own patch matrix, and its GEMM writes straight into its
+    columns of the output. Every output column is the same dot product
+    under any slicing. The whole batch's patch matrix is also written into
+    ``cols`` when given, each slice into its own columns. Unchecked and untracked:
     ``conv2d`` validates the shapes, and the model's tape-free forward
     relies on its spec.
     """
@@ -526,9 +618,12 @@ def conv_forward(x: Array, kernel: Array, stride: int, pad: int, cols: Array | N
     oh, ow = _conv_out_hw(h, w, kh, kw, stride, pad)
     wmat = kernel.reshape(f, c * kh * kw)
     out = np.empty((f, n * oh * ow), dtype=np.float32)
-    for frames, part in _frame_slices(n, oh * ow):
+
+    def run(frames: slice, part: slice) -> None:
         block = _im2col(x[:, frames], kh, kw, stride, pad, oh, ow, None if cols is None else cols[:, part])
         np.matmul(wmat, block, out=out[:, part])
+
+    run_frame_slices(run, n, oh * ow)
     return out.reshape(f, n, oh, ow)
 
 
@@ -538,7 +633,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     x: (C,N,H,W), kernel: (F,C,kh,kw) -> (F,N,H',W') with
     H' = (H + 2*pad - kh) // stride + 1; H must equal stride*H' and W
     stride*W'. The forward (``conv_forward``) and dx run in FRAME_SLICE
-    frame slices; dw is one GEMM over the whole batch's patch matrix.
+    frame slices on the slice pool; dw is one GEMM over the whole batch's
+    patch matrix.
     """
     if stride < 1:
         raise InvalidStride(f"stride must be >= 1, got {stride}")
@@ -565,8 +661,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         if need_dx:
             taps = np.ascontiguousarray(kdata.transpose(2, 3, 1, 0))  # (kh,kw,C,F)
             gx = np.empty((c, n, h, w), dtype=np.float32)
-            for frames, part in _frame_slices(n, oh * ow):
-                _col2im(taps, gmat[:, part], gx[:, frames], stride, pad, oh, ow)
+            run_frame_slices(lambda frames, part: _col2im(taps, gmat[:, part], gx[:, frames], stride, pad, oh, ow), n, oh * ow)
         return [gx, gw]
 
     return _make(out, "conv2d", (x, kernel), backward)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,15 @@ from tempt import tensor as T
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(1234))
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """A two-thread slice pool, whatever the host's CPU and BLAS thread counts."""
+    executor = ThreadPoolExecutor(2, thread_name_prefix="test-slice")
+    monkeypatch.setattr(T, "_POOL", executor)
+    yield executor
+    executor.shutdown()
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import math
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from multiprocessing import get_context
+
 import numpy as np
 import pytest
 
 from tempt import adapt, benchmark, data, model, training
+from tempt import tensor as T
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +77,51 @@ def test_parallel_matches_serial(mini):
     serial = benchmark.run_benchmark(params, videos, adapt_cfg, repeats=2, jobs=1, master_seed=9)
     parallel = benchmark.run_benchmark(params, videos, adapt_cfg, repeats=2, jobs=2, master_seed=9)
     assert serial.details_csv() == parallel.details_csv()
+
+
+def test_jobs_2_gives_the_rows_of_jobs_1_with_its_workers_inline(mini, pool, monkeypatch):
+    """jobs=1 keeps this process's slice pool; each spawned worker drops its own."""
+    params, videos, adapt_cfg = mini
+    cfg = replace(adapt_cfg, batch_frames_cap=48)  # 48-frame forwards: three slices each
+    serial = benchmark.run_benchmark(params, videos[:1], cfg, repeats=1, jobs=1, master_seed=9)
+    assert T._POOL is pool
+    made = []
+
+    def recording_pool(**kwargs):
+        made.append(kwargs)
+        return ProcessPoolExecutor(**kwargs)
+
+    monkeypatch.setattr(benchmark, "ProcessPoolExecutor", recording_pool)
+    parallel = benchmark.run_benchmark(params, videos[:1], cfg, repeats=1, jobs=2, master_seed=9)
+    assert parallel.rows == serial.rows
+    # one more worker set up as run_benchmark sets its workers up, one BLAS thread each
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    with ProcessPoolExecutor(**{**made[0], "max_workers": 1}) as workers:
+        workers.submit(benchmark._run_task, (0, "tempt", 0, 0, cfg)).result()
+        assert workers.submit(threading.active_count).result() == 1  # no slice thread was ever started
+
+
+def _row(method, repeat, f1_after, aborted):
+    return {"method": method, "repeat": repeat, "f1_before": 0.25, "f1_after": f1_after, "norm_changes_before": 0.5, "norm_changes_after": f1_after / 2, "aborted": aborted}
+
+
+def test_aggregate_leaves_aborted_rows_out_of_the_after_figures():
+    rows = [
+        _row("tent", 0, 0.5, False),
+        _row("tent", 0, 0.7, False),
+        _row("tent", 1, 0.25, True),  # the static model's numbers
+        _row("tent", 1, 0.9, False),
+        _row("tempt", 0, 0.25, True),
+        _row("tempt", 1, 0.25, True),
+    ]
+    summary = benchmark._aggregate(rows, ("tent", "tempt"))
+    tent, tempt = summary["tent"], summary["tempt"]
+    assert tent["f1_after_mean"] == pytest.approx((0.6 + 0.9) / 2)
+    assert tent["f1_after_sd"] == pytest.approx(0.15)
+    assert tent["norm_changes_after_mean"] == pytest.approx((0.3 + 0.45) / 2)
+    assert tent["f1_before_mean"] == 0.25 and (tent["runs"], tent["aborted"]) == (4, 1)
+    assert all(math.isnan(tempt[k]) for k in ("f1_after_mean", "f1_after_sd", "norm_changes_after_mean", "norm_changes_after_sd"))
+    assert tempt["f1_before_mean"] == 0.25 and (tempt["runs"], tempt["aborted"]) == (2, 2)
 
 
 def test_adaptation_isolation_on_benchmark_videos(mini):

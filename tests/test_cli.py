@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import subprocess
@@ -502,6 +503,10 @@ def test_benchmark_with_aborted_tasks_writes_artefacts_then_exits_4(capsys, capl
     assert {m: s["aborted"] for m, s in doc["summary"].items()} == {"none": 0, "tent": 4, "tempt": 4}
     details = (workdir / "bench_lr_huge" / "details.csv").read_text().splitlines()
     assert details[0].endswith(",aborted") and sum(line.endswith(",True") for line in details) == 8
+    # aborted rows are not results: no method that only aborted reports a mean
+    assert all(math.isnan(doc["summary"][m]["f1_after_mean"]) for m in ("tent", "tempt"))
+    table = (workdir / "bench_lr_huge" / "table.csv").read_text().splitlines()[1].split(",")
+    assert table[1] == f"{doc['summary']['none']['f1_after_mean']:.6f}" and table[2:] == ["nan", "nan"]
     named = [r.getMessage() for r in caplog.records if r.levelname == "ERROR" and r.getMessage().startswith("aborted:")]
     assert len(named) == cli.ABORTS_SHOWN
     assert named[0].startswith("aborted: video 0, method tent, repeat 0: ") and "non-finite" in named[0]

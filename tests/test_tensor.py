@@ -5,6 +5,7 @@ from __future__ import annotations
 import platform
 import resource
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -130,6 +131,25 @@ def test_nonfinite_raises():
         T.log(T.Tensor([0.0]))
     with pytest.raises(NonFiniteValue):
         T.div(T.Tensor([1.0]), T.Tensor([0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_finite_check_finds_a_non_finite_value_at_every_offset(rng, bad):
+    """Every offset of 4,096 (16 full 256-wide rows), of a 100-value tail, of a transposed and of a strided view."""
+    top = np.finfo(np.float32).max
+    flat = rng.uniform(-top, top, size=4096 + 100).astype(np.float32)  # x * 0 is 0 for every finite x
+    grid = rng.uniform(-1, 1, size=(64, 96)).astype(np.float32)
+    views = [flat, grid.T, grid[:, ::3]]  # contiguous, F-ordered, and neither
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for view in views:
+            T._ensure_finite(view, "probe")
+            for index in np.ndindex(view.shape):
+                keep = view[index]
+                view[index] = bad
+                with pytest.raises(NonFiniteValue, match="'probe'"):
+                    T._ensure_finite(view, "probe")
+                view[index] = keep
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +348,13 @@ def test_conv2d_kernel_too_large():
         T.conv2d(x, k)
 
 
-@pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
+# one frame, one short of, exactly at and one past the second slice's end, and a partial fifth slice
+SLICE_BATCHES = [1, 2 * T.FRAME_SLICE - 1, 2 * T.FRAME_SLICE, 2 * T.FRAME_SLICE + 1, 4 * T.FRAME_SLICE + 6]
+
+
+@pytest.mark.parametrize("n", SLICE_BATCHES)
 @pytest.mark.parametrize("stride,pad,k", [(1, 1, 3), (2, 1, 3), (2, 0, 1)], ids=["3x3-s1-p1", "3x3-s2-p1", "1x1-s2-p0"])
-def test_conv2d_frame_slices_keep_bytes(rng, stride, pad, k, n):
+def test_conv2d_frame_slices_keep_bytes(pool, rng, stride, pad, k, n):
     """Output and dx equal frame-by-frame conv2d byte for byte; dw is one GEMM over the whole batch."""
     x = rng.standard_normal((8, n, 16, 16)).astype(np.float32)
     kernel = T.Tensor(rng.standard_normal((12, 8, k, k)).astype(np.float32), requires_grad=True)
