@@ -45,10 +45,8 @@ DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.j
 
 def blas_core() -> str:
     """The kernel name numpy's bundled OpenBLAS picked for this CPU, or ``unknown``."""
-    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
-    try:
-        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
+    corename = getattr(tensor.bundled_openblas(), "scipy_openblas_get_corename64_", None)
+    if corename is None:
         return "unknown"
     corename.argtypes = []
     corename.restype = ctypes.c_char_p

@@ -142,7 +142,8 @@ class BenchmarkResult:
     aborts: list[tuple[int, str, int, str]]  # (video, method, repeat, diagnostic) of each aborted task, in task order
 
     def table_csv(self) -> str:
-        return _csv(["model", *self.table], [[self.model_name, *self.table.values()]])
+        """One line of after-adaptation F1 means; ``nan`` for a method with no completed run."""
+        return _csv(["model", *self.table], [[self.model_name, *(float("nan") if v is None else v for v in self.table.values())]])
 
     def details_csv(self) -> str:
         """One line per row, in the columns ``_run_task`` gives a row."""
@@ -162,7 +163,8 @@ def _aggregate(rows: list[dict], methods: tuple[str, ...]) -> dict:
     the spread is the standard deviation across the per-repeat means: the
     deterministic static method reports exactly zero. The after-adaptation
     figures leave aborted rows out (a repeat whose every run aborted drops
-    out), and are NaN when every run of the method aborted.
+    out), and are None (null in benchmark.json) when every run of the
+    method aborted.
     """
     summary: dict = {}
     for method in methods:
@@ -174,8 +176,8 @@ def _aggregate(rows: list[dict], methods: tuple[str, ...]) -> dict:
             by_rep = [np.mean([r[f"{metric}_after"] for r in ran if r["repeat"] == rep]) for rep in repeats]
             summary[method] |= {
                 f"{metric}_before_mean": float(np.mean([r[f"{metric}_before"] for r in sub])),
-                f"{metric}_after_mean": float(np.mean(by_rep)) if by_rep else float("nan"),
-                f"{metric}_after_sd": float(np.std(by_rep)) if by_rep else float("nan"),
+                f"{metric}_after_mean": float(np.mean(by_rep)) if by_rep else None,
+                f"{metric}_after_sd": float(np.std(by_rep)) if by_rep else None,
             }
         summary[method]["runs"] = len(sub)
         summary[method]["aborted"] = sum(r["aborted"] for r in sub)
@@ -243,5 +245,5 @@ def run_benchmark(
     expanded.sort(key=lambda r: (r["video"], METHODS.index(r["method"]), r["repeat"]))
 
     summary = _aggregate(expanded, methods)
-    table = {col: summary[m]["f1_after_mean"] if m in summary else float("nan") for m, col in TABLE_COLUMNS.items()}
+    table = {col: summary[m]["f1_after_mean"] if m in summary else None for m, col in TABLE_COLUMNS.items()}
     return BenchmarkResult(rows=expanded, summary=summary, table=table, model_name=model_name, aborts=aborts)

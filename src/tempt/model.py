@@ -19,10 +19,12 @@ tape-free: it owns its buffers and applies batch norm, relu and the
 residual add in place on each conv's own output, in the same float32 ops
 and order. Its trunk (stem through pooled features) runs on
 ``tensor.FRAME_SLICE`` (16) frames at a time, the slice every conv runs
-in, which gives the same bytes under any slicing. The trunk slices run at
-once on ``tensor``'s slice pool, each writing only its own rows of the
-pooled features, in a copy of the caller's context (so the forward's
-errstate holds in it); the convs inside a slice run inline. Its head runs
+in, which gives the same bytes under any slicing. When its convs average
+``tensor.POOL_MIN_MACS`` multiply-adds per slice (``_trunk_macs``), the
+trunk slices run at once on ``tensor``'s slice pool, each writing only
+its own rows of the pooled features, in a copy of the caller's context
+(so the forward's errstate holds in it); the convs inside a slice run
+inline. Its head runs
 once over the whole batch, because BLAS rounds the head's small matmuls
 differently by row count. Both routes give identical logits and check
 each new array for non-finite values once.
@@ -30,6 +32,7 @@ each new array for non-finite values once.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -309,9 +312,23 @@ def _forward_untracked(params: ModelParams, frames: np.ndarray) -> T.Tensor:
         T._ensure_finite(pooled, "global_avg_pool")
         feat[part] = pooled.T
 
-    T.run_frame_slices(trunk_slice, frames.shape[0], 1)
+    T.run_frame_slices(trunk_slice, frames.shape[0], 1, _trunk_macs(spec))
     head = {name: T.Tensor._unchecked(params[name].array) for name in ("head.fc1.w", "head.fc1.b", "head.out.w")}
     return _head(spec, head, T.Tensor._unchecked(feat))
+
+
+@functools.lru_cache(maxsize=16)
+def _trunk_macs(spec: ModelSpec) -> int:
+    """Mean multiply-adds per frame of the stem and trunk convs, from a pass of ``_trunk`` over sizes alone."""
+    kernels = {name: math.prod(shape) for name, shape, _ in layout(spec) if len(shape) == 4}
+    macs = [kernels["stem.conv.w"] * spec.input_hw**2]
+
+    def conv(hw: int, name: str, stride: int, pad: int) -> int:
+        macs.append(kernels[name] * (hw // stride) ** 2)
+        return hw // stride
+
+    _trunk(spec, spec.input_hw, conv, bn=lambda hw, prefix: hw, relu=lambda hw: hw, add=lambda a, b: a)
+    return sum(macs) // len(macs)
 
 
 def _bn_constants(params: ModelParams, prefix: str) -> tuple[np.ndarray, ...]:

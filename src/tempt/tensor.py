@@ -23,21 +23,28 @@ gradient pixel is the same dot product in the same order under any
 slicing, so the bytes do not depend on it. The kernel gradient stays one
 GEMM over the whole batch's patch matrix, kept only when it is needed.
 
-The slices of one call run at once on a module-level thread pool, one
-thread per CPU this process may run on, divided by the thread count BLAS
-takes from the environment (``run_frame_slices``): with BLAS on one
-thread, as ``OPENBLAS_NUM_THREADS=1`` sets it, that is every CPU; with
-BLAS's default of every CPU there is no pool, because pooled slices whose
-GEMMs each fan out over every core ran slower than serial ones. numpy and
-BLAS release the GIL in the arithmetic. Each slice writes only its own
-output columns or gradient frames, so the bytes are the same as a serial
-run's. A slice runs in a copy of the caller's context, so numpy's errstate
-holds inside it; every slice finishes before the call returns or raises,
-and the error raised is the first failing slice's, in frame order. A
-slice that itself slices (a conv inside a pooled trunk slice) runs its
-slices inline: a pool thread that waited on the pool could deadlock it. A
-forked child builds its own pool, and ``run_slices_inline`` drops the pool
-in a process whose siblings already fill the cores.
+The slices of one call run at once on a module-level thread pool when
+two conditions hold (``run_frame_slices``). BLAS must run each GEMM on one
+thread, as numpy's bundled OpenBLAS reports when the pool starts (it is
+what ``OPENBLAS_NUM_THREADS=1`` sets): BLAS on more threads already spreads
+a GEMM over the cores, and pooled slices then ran slower than serial ones.
+The pool then has one thread per CPU this process may run on. And the
+call's slices must be large enough: their GEMMs must average at least
+POOL_MIN_MACS multiply-adds. numpy and BLAS release the GIL only in the
+arithmetic, so in a smaller call the per-op Python, which holds it, keeps
+two threads from gaining. The 8-16-32-channel model of
+``configs/default.json`` stays below it (at most 3.5M multiply-adds per
+16-frame conv GEMM, a 1.6M mean over its trunk), the 16-32-64 default
+``ModelSpec`` above it (4.7M to 9.4M but for its 1x1 projections, a 5.6M
+mean). Each slice writes only its own output columns or gradient frames,
+so the bytes are the same as a serial run's. A slice runs in a copy of the
+caller's context, so numpy's errstate holds inside it; every slice
+finishes before the call returns or raises, and the error raised is the
+first failing slice's, in frame order. A slice that itself slices (a conv
+inside a pooled trunk slice) runs its slices inline: a pool thread that
+waited on the pool could deadlock it. A forked child builds its own pool,
+and ``run_slices_inline`` drops the pool in a process whose siblings
+already fill the cores.
 
 Tensors are immutable values once created. A graph is recorded only when
 an input requires grad, so plain inference builds no tape. The graph holds
@@ -77,6 +84,7 @@ import functools
 import os
 import platform
 from concurrent.futures import ThreadPoolExecutor, wait
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,6 +102,7 @@ Array = np.ndarray
 
 BN_MOMENTUM = 0.1  # weight of the batch statistic in each running-stat update
 FRAME_SLICE = 16  # frames per conv pass (forward and dx) and per tape-free trunk pass
+POOL_MIN_MACS = 1 << 22  # mean multiply-adds per GEMM of one slice below which a call's slices run inline
 
 _M_TRIM_THRESHOLD = -1  # glibc <malloc.h> parameter numbers
 _M_MMAP_THRESHOLD = -3
@@ -550,21 +559,26 @@ _POOL: ThreadPoolExecutor | None = None
 _IN_SLICE = contextvars.ContextVar("tempt_in_slice", default=False)
 
 
-def _blas_threads(cpus: int) -> int:
-    """The thread count OpenBLAS takes from the environment when it loads; every CPU when none is set."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return cpus
+def bundled_openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS (scipy-openblas64), or None when numpy runs on another BLAS."""
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        return ctypes.CDLL(str(libs[0]))
+    except (IndexError, OSError):
+        return None
+
+
+def _blas_threads() -> int | None:
+    """The thread count BLAS runs each GEMM on, as numpy's bundled OpenBLAS reports it; None when it cannot be asked."""
+    get = getattr(bundled_openblas(), "scipy_openblas_get_num_threads64_", None)
+    return None if get is None else int(get())
 
 
 def _start_pool() -> None:
-    """One slice thread per CPU this process may run on that BLAS's own threads leave free; no pool below two."""
+    """One slice thread per CPU this process may run on, when BLAS runs each GEMM on one thread; else no pool."""
     global _POOL
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    threads = cpus // _blas_threads(cpus)
-    _POOL = ThreadPoolExecutor(threads, thread_name_prefix="tempt-slice") if threads > 1 else None
+    _POOL = ThreadPoolExecutor(cpus, thread_name_prefix="tempt-slice") if cpus > 1 and _blas_threads() == 1 else None
 
 
 def run_slices_inline() -> None:
@@ -585,14 +599,16 @@ def _run_in_slice(fn: Callable[[slice, slice], None], frames: slice, part: slice
     fn(frames, part)
 
 
-def run_frame_slices(fn: Callable[[slice, slice], None], n: int, per_frame: int) -> None:
+def run_frame_slices(fn: Callable[[slice, slice], None], n: int, per_frame: int, macs_per_frame: int) -> None:
     """Call ``fn(frames, columns)`` for each pair of ``_frame_slices(n, per_frame)``.
 
-    Each call must write only its own block. Two or more slices run on the
-    pool (see the module docstring), unless this runs inside a slice.
+    Each call must write only its own block. ``macs_per_frame`` is the mean
+    multiply-adds per frame of the GEMMs a slice runs. Two or more slices
+    run on the pool when a full slice's mean reaches POOL_MIN_MACS (see the
+    module docstring), unless this runs inside a slice.
     """
     slices = list(_frame_slices(n, per_frame))
-    if _POOL is None or len(slices) < 2 or _IN_SLICE.get():
+    if _POOL is None or len(slices) < 2 or _IN_SLICE.get() or FRAME_SLICE * macs_per_frame < POOL_MIN_MACS:
         for frames, part in slices:
             fn(frames, part)
         return
@@ -605,7 +621,8 @@ def run_frame_slices(fn: Callable[[slice, slice], None], n: int, per_frame: int)
 def conv_forward(x: Array, kernel: Array, stride: int, pad: int, cols: Array | None = None) -> Array:
     """The (F,N,H',W') output of a (C,N,H,W) map under a (F,C,kh,kw) kernel.
 
-    It runs in FRAME_SLICE-frame slices on the slice pool: each slice
+    It runs in FRAME_SLICE-frame slices, on the slice pool when they are
+    large enough (``run_frame_slices``): each slice
     builds its own patch matrix, and its GEMM writes straight into its
     columns of the output. Every output column is the same dot product
     under any slicing. The whole batch's patch matrix is also written into
@@ -623,7 +640,7 @@ def conv_forward(x: Array, kernel: Array, stride: int, pad: int, cols: Array | N
         block = _im2col(x[:, frames], kh, kw, stride, pad, oh, ow, None if cols is None else cols[:, part])
         np.matmul(wmat, block, out=out[:, part])
 
-    run_frame_slices(run, n, oh * ow)
+    run_frame_slices(run, n, oh * ow, wmat.size * oh * ow)
     return out.reshape(f, n, oh, ow)
 
 
@@ -633,8 +650,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     x: (C,N,H,W), kernel: (F,C,kh,kw) -> (F,N,H',W') with
     H' = (H + 2*pad - kh) // stride + 1; H must equal stride*H' and W
     stride*W'. The forward (``conv_forward``) and dx run in FRAME_SLICE
-    frame slices on the slice pool; dw is one GEMM over the whole batch's
-    patch matrix.
+    frame slices, on the slice pool when they are large enough; dw is one
+    GEMM over the whole batch's patch matrix.
     """
     if stride < 1:
         raise InvalidStride(f"stride must be >= 1, got {stride}")
@@ -661,7 +678,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         if need_dx:
             taps = np.ascontiguousarray(kdata.transpose(2, 3, 1, 0))  # (kh,kw,C,F)
             gx = np.empty((c, n, h, w), dtype=np.float32)
-            run_frame_slices(lambda frames, part: _col2im(taps, gmat[:, part], gx[:, frames], stride, pad, oh, ow), n, oh * ow)
+            run_frame_slices(
+                lambda frames, part: _col2im(taps, gmat[:, part], gx[:, frames], stride, pad, oh, ow), n, oh * ow, kdata.size * oh * ow
+            )
         return [gx, gw]
 
     return _make(out, "conv2d", (x, kernel), backward)

@@ -16,9 +16,10 @@ def rng():
 
 @pytest.fixture
 def pool(monkeypatch):
-    """A two-thread slice pool, whatever the host's CPU and BLAS thread counts."""
+    """A two-thread slice pool that takes calls of any size, whatever the host's CPU and BLAS thread counts."""
     executor = ThreadPoolExecutor(2, thread_name_prefix="test-slice")
     monkeypatch.setattr(T, "_POOL", executor)
+    monkeypatch.setattr(T, "POOL_MIN_MACS", 0)
     yield executor
     executor.shutdown()
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -120,7 +119,7 @@ def test_aggregate_leaves_aborted_rows_out_of_the_after_figures():
     assert tent["f1_after_sd"] == pytest.approx(0.15)
     assert tent["norm_changes_after_mean"] == pytest.approx((0.3 + 0.45) / 2)
     assert tent["f1_before_mean"] == 0.25 and (tent["runs"], tent["aborted"]) == (4, 1)
-    assert all(math.isnan(tempt[k]) for k in ("f1_after_mean", "f1_after_sd", "norm_changes_after_mean", "norm_changes_after_sd"))
+    assert all(tempt[k] is None for k in ("f1_after_mean", "f1_after_sd", "norm_changes_after_mean", "norm_changes_after_sd"))
     assert tempt["f1_before_mean"] == 0.25 and (tempt["runs"], tempt["aborted"]) == (2, 2)
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 import subprocess
@@ -489,10 +488,14 @@ def _benchmark_with(capsys, workdir, trained_weights, name, adapt_overrides, job
     out_dir = workdir / name
     argv = ["benchmark", "--weights", str(trained_weights), "--config", str(workdir / f"{name}.json"), "--out", str(out_dir)]
     code, out = run_cli(capsys, argv + ["--jobs", str(jobs)])
-    doc = json.loads((out_dir / "benchmark.json").read_text())
+    doc = json.loads((out_dir / "benchmark.json").read_text(), parse_constant=_strict_json)
     assert json.loads(out) == doc
     assert (out_dir / "table.csv").is_file() and (out_dir / "details.csv").is_file()
     return code, doc
+
+
+def _strict_json(token: str):
+    raise ValueError(f"benchmark.json holds {token}, which RFC 8259 JSON has no literal for")
 
 
 def test_benchmark_with_aborted_tasks_writes_artefacts_then_exits_4(capsys, caplog, workdir, trained_weights):
@@ -503,8 +506,9 @@ def test_benchmark_with_aborted_tasks_writes_artefacts_then_exits_4(capsys, capl
     assert {m: s["aborted"] for m, s in doc["summary"].items()} == {"none": 0, "tent": 4, "tempt": 4}
     details = (workdir / "bench_lr_huge" / "details.csv").read_text().splitlines()
     assert details[0].endswith(",aborted") and sum(line.endswith(",True") for line in details) == 8
-    # aborted rows are not results: no method that only aborted reports a mean
-    assert all(math.isnan(doc["summary"][m]["f1_after_mean"]) for m in ("tent", "tempt"))
+    # aborted rows are not results: a method that only aborted reports null, not a mean
+    assert all(doc["summary"][m][k] is None for m in ("tent", "tempt") for k in ("f1_after_mean", "f1_after_sd"))
+    assert doc["table"] == {"supervised": doc["summary"]["none"]["f1_after_mean"], "tent": None, "tempt": None}
     table = (workdir / "bench_lr_huge" / "table.csv").read_text().splitlines()[1].split(",")
     assert table[1] == f"{doc['summary']['none']['f1_after_mean']:.6f}" and table[2:] == ["nan", "nan"]
     named = [r.getMessage() for r in caplog.records if r.levelname == "ERROR" and r.getMessage().startswith("aborted:")]

@@ -354,21 +354,23 @@ SLICE_BATCHES = [1, 2 * T.FRAME_SLICE - 1, 2 * T.FRAME_SLICE, 2 * T.FRAME_SLICE 
 
 @pytest.mark.parametrize("n", SLICE_BATCHES)
 @pytest.mark.parametrize("stride,pad,k", [(1, 1, 3), (2, 1, 3), (2, 0, 1)], ids=["3x3-s1-p1", "3x3-s2-p1", "1x1-s2-p0"])
-def test_conv2d_frame_slices_keep_bytes(pool, rng, stride, pad, k, n):
-    """Output and dx equal frame-by-frame conv2d byte for byte; dw is one GEMM over the whole batch."""
+def test_conv2d_frame_slices_keep_bytes(pool, monkeypatch, rng, stride, pad, k, n):
+    """Output and dx equal frame-by-frame conv2d byte for byte, pooled and serial; dw is one GEMM over the whole batch."""
     x = rng.standard_normal((8, n, 16, 16)).astype(np.float32)
     kernel = T.Tensor(rng.standard_normal((12, 8, k, k)).astype(np.float32), requires_grad=True)
-    out = T.conv2d(T.Tensor(x, requires_grad=True), kernel, stride=stride, pad=pad)
-    g = rng.standard_normal(out.shape).astype(np.float32)
-    dx, dw = out.node.backward_fn(g)
     per_frame = [T.conv2d(T.Tensor(x[:, i : i + 1], requires_grad=True), kernel, stride=stride, pad=pad) for i in range(n)]
     want_out = np.concatenate([o.data for o in per_frame], axis=1)
+    g = rng.standard_normal(want_out.shape).astype(np.float32)
     want_dx = np.concatenate([o.node.backward_fn(g[:, i : i + 1])[0] for i, o in enumerate(per_frame)], axis=1)
-    oh, ow = out.shape[2:]
+    oh, ow = want_out.shape[2:]
     want_dw = g.reshape(12, -1) @ T._im2col(x, k, k, stride, pad, oh, ow).T
-    assert out.data.tobytes() == want_out.tobytes()
-    assert dx.tobytes() == want_dx.tobytes()
-    assert dw.tobytes() == want_dw.reshape(dw.shape).tobytes()
+    for slices_on in (pool, None):  # the pool's threads, then the caller's
+        monkeypatch.setattr(T, "_POOL", slices_on)
+        out = T.conv2d(T.Tensor(x, requires_grad=True), kernel, stride=stride, pad=pad)
+        dx, dw = out.node.backward_fn(g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert dx.tobytes() == want_dx.tobytes()
+        assert dw.tobytes() == want_dw.reshape(dw.shape).tobytes()
 
 
 @pytest.fixture(scope="module")
