@@ -13,20 +13,23 @@ the stem.
 ``forward`` has two routes over one description of the network
 (``_trunk``: stem batch norm, then the residual blocks). With graph leaves
 it runs the tape's ops, in either mode; training and adaptation take this
-route. Without leaves (``adapt.forward_all``: inference and the
-before/after logit series of an adaptation) it runs in eval mode only,
-tape-free: it owns its buffers and applies batch norm, relu and the
-residual add in place on each conv's own output, in the same float32 ops
-and order. Its trunk (stem through pooled features) runs on
-``tensor.FRAME_SLICE`` (16) frames at a time, the slice every conv runs
-in, which gives the same bytes under any slicing. When its convs average
-``tensor.POOL_MIN_MACS`` multiply-adds per slice (``_trunk_macs``), the
-trunk slices run at once on ``tensor``'s slice pool, each writing only
-its own rows of the pooled features, in a copy of the caller's context
-(so the forward's errstate holds in it); the convs inside a slice run
-inline. Its head runs
-once over the whole batch, because BLAS rounds the head's small matmuls
-differently by row count. Both routes give identical logits and check
+route. There each batch norm followed by a relu is one ``batchnorm2d``
+node with ``relu=True``, and each residual add with its relu one ``relu``
+node with a ``skip``: no array for the pre-relu values, and one pass fewer
+per pair (``tensor`` runs both per channel block). Without leaves
+(``adapt.forward_all``: inference and the before/after logit series of an
+adaptation) it runs in eval mode only, tape-free: it owns its buffers and
+applies batch norm, relu and the residual add in place on each conv's own
+output, in the same float32 ops and order. Its trunk (stem through pooled
+features) runs on ``tensor.FRAME_SLICE`` (16) frames at a time, the slice
+every conv runs in, which gives the same bytes under any slicing. When its
+convs average ``tensor.POOL_MIN_MACS`` multiply-adds per slice
+(``_trunk_macs``), the trunk slices run at once on the caller and
+``tensor``'s slice pool, each writing only its own rows of the pooled
+features, in a copy of the caller's context (so the forward's errstate
+holds in it); the convs inside a slice run inline. Its head runs once over
+the whole batch, because BLAS rounds the head's small matmuls differently
+by row count. Both routes give identical logits and check
 each new array for non-finite values once.
 """
 
@@ -192,19 +195,20 @@ def build_model(spec: ModelSpec, seed: int) -> ModelParams:
     return params
 
 
-def _trunk(spec: ModelSpec, x, conv, bn, relu, add):
+def _trunk(spec: ModelSpec, x, conv, bn, add_relu):
     """The network from the stem batch norm to the last block, in the ops of one route.
 
-    ``conv(x, kernel name, stride, pad)``, ``bn(x, layer prefix)``,
-    ``relu(x)`` and ``add(a, b)`` are the tape's ops or the tape-free
-    route's in-place ones; ``x`` is the stem conv's output.
+    ``conv(x, kernel name, stride, pad)``, ``bn(x, layer prefix, relu)``
+    (relu applied to its output when ``relu``) and ``add_relu(a, b)``
+    (relu(a + b)) are the tape's ops or the tape-free route's in-place
+    ones; ``x`` is the stem conv's output.
     """
-    x = relu(bn(x, "stem.bn"))
+    x = bn(x, "stem.bn", True)
     for p, _, _, stride in _blocks(spec):
-        out = relu(bn(conv(x, f"{p}.conv1.w", stride, 1), f"{p}.bn1"))
-        out = bn(conv(out, f"{p}.conv2.w", 1, 1), f"{p}.bn2")
-        skip = bn(conv(x, f"{p}.proj.w", stride, 0), f"{p}.proj_bn") if stride > 1 else x
-        x = relu(add(out, skip))
+        out = bn(conv(x, f"{p}.conv1.w", stride, 1), f"{p}.bn1", True)
+        out = bn(conv(out, f"{p}.conv2.w", 1, 1), f"{p}.bn2", False)
+        skip = bn(conv(x, f"{p}.proj.w", stride, 0), f"{p}.proj_bn", False) if stride > 1 else x
+        x = add_relu(out, skip)
     return x
 
 
@@ -269,13 +273,13 @@ def forward(
             spec,
             out,
             conv=lambda t, name, stride, pad: T.conv2d(t, leaves[name], stride=stride, pad=pad),
-            bn=lambda t, prefix: T.batchnorm2d(
+            bn=lambda t, prefix, relu: T.batchnorm2d(
                 t, *(leaves[f"{prefix}.{part}"] for part in _BN_PARTS),
                 eps=BN_EPS,
                 mode=mode,
+                relu=relu,
             ),
-            relu=T.relu,
-            add=lambda a, b: a + b,
+            add_relu=T.relu,
         )
         return _head(spec, leaves, T.global_avg_pool(out))
     except NonFiniteValue as exc:
@@ -302,11 +306,10 @@ def _forward_untracked(params: ModelParams, frames: np.ndarray) -> T.Tensor:
     def trunk_slice(part: slice, _) -> None:
         out = _trunk(
             spec,
-            _conv(frames[part].transpose(1, 0, 2, 3), params["stem.conv.w"].array, 1, 1),
-            conv=lambda x, name, stride, pad: _conv(x, params[name].array, stride, pad),
-            bn=lambda x, prefix: _bn_eval(x, bn[prefix]),
-            relu=lambda x: np.maximum(x, 0.0, out=x),
-            add=_add_inplace,
+            T.conv_forward(frames[part].transpose(1, 0, 2, 3), params["stem.conv.w"].array, 1, 1),
+            conv=lambda x, name, stride, pad: T.conv_forward(x, params[name].array, stride, pad),
+            bn=lambda x, prefix, relu: _bn_eval(x, bn[prefix], relu),
+            add_relu=_add_relu_inplace,
         )
         pooled = out.mean(axis=(2, 3), dtype=np.float32)
         T._ensure_finite(pooled, "global_avg_pool")
@@ -327,7 +330,7 @@ def _trunk_macs(spec: ModelSpec) -> int:
         macs.append(kernels[name] * (hw // stride) ** 2)
         return hw // stride
 
-    _trunk(spec, spec.input_hw, conv, bn=lambda hw, prefix: hw, relu=lambda hw: hw, add=lambda a, b: a)
+    _trunk(spec, spec.input_hw, conv, bn=lambda hw, prefix, relu: hw, add_relu=lambda a, b: a)
     return sum(macs) // len(macs)
 
 
@@ -346,27 +349,21 @@ def _bn_constants(params: ModelParams, prefix: str) -> tuple[np.ndarray, ...]:
     )
 
 
-def _conv(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    out = T.conv_forward(x, kernel, stride, pad)
-    T._ensure_finite(out, "conv2d")
-    return out
-
-
-def _bn_eval(x: np.ndarray, constants: tuple[np.ndarray, ...]) -> np.ndarray:
-    """x = gamma * ((x - mean) * inv_std) + beta, in place on a conv output."""
+def _bn_eval(x: np.ndarray, constants: tuple[np.ndarray, ...], relu: bool) -> np.ndarray:
+    """x = gamma * ((x - mean) * inv_std) + beta, then max(x, 0) when ``relu``, in place on a conv output."""
     mu, inv_std, gamma, beta = constants
     x -= mu
     x *= inv_std
     x *= gamma
     x += beta
     T._ensure_finite(x, "batchnorm2d")
-    return x
+    return np.maximum(x, 0.0, out=x) if relu else x
 
 
-def _add_inplace(out: np.ndarray, skip: np.ndarray) -> np.ndarray:
+def _add_relu_inplace(out: np.ndarray, skip: np.ndarray) -> np.ndarray:
     out += skip
     T._ensure_finite(out, "add")
-    return out
+    return np.maximum(out, 0.0, out=out)
 
 
 def _cosine_head(x: T.Tensor, w: T.Tensor, scale: float) -> T.Tensor:

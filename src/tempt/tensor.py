@@ -2,11 +2,12 @@
 
 The op set is exactly what the CNN forward pass and the losses need:
 elementwise arithmetic with trailing-dim broadcasting, matmul, transpose, conv2d,
-batchnorm2d, relu, global average pooling, exp/log/sqrt, reductions and
-row gathering. Every array an op creates is checked for NaN/Inf once,
-where it is born, and the op raises instead of propagating garbage. An
-array that is finite whenever its checked input is (a relu's output and
-gradient, a gradient handed through unchanged) is not scanned again.
+batchnorm2d (optionally with its relu), relu (optionally after a residual
+add), global average pooling, exp/log/sqrt, reductions and row gathering.
+Every array an op creates is checked for NaN/Inf once, where it is born,
+and the op raises instead of propagating garbage. An array that is finite
+whenever its checked input is (a relu's output and gradient, a gradient
+handed through unchanged) is not scanned again.
 
 Activations are channel-major: conv2d, batchnorm2d and global_avg_pool
 take (C, N, H, W) maps, so a conv's (F, C*kh*kw) @ (C*kh*kw, N*H'*W')
@@ -23,28 +24,51 @@ gradient pixel is the same dot product in the same order under any
 slicing, so the bytes do not depend on it. The kernel gradient stays one
 GEMM over the whole batch's patch matrix, kept only when it is needed.
 
-The slices of one call run at once on a module-level thread pool when
-two conditions hold (``run_frame_slices``). BLAS must run each GEMM on one
-thread, as numpy's bundled OpenBLAS reports when the pool starts (it is
-what ``OPENBLAS_NUM_THREADS=1`` sets): BLAS on more threads already spreads
-a GEMM over the cores, and pooled slices then ran slower than serial ones.
-The pool then has one thread per CPU this process may run on. And the
-call's slices must be large enough: their GEMMs must average at least
-POOL_MIN_MACS multiply-adds. numpy and BLAS release the GIL only in the
-arithmetic, so in a smaller call the per-op Python, which holds it, keeps
-two threads from gaining. The 8-16-32-channel model of
+The slices of one call run at once, on the calling thread and a
+module-level pool of helper threads, when two conditions hold
+(``run_frame_slices``). BLAS must run each GEMM on one thread, as numpy's
+bundled OpenBLAS reports when the pool starts (it is what
+``OPENBLAS_NUM_THREADS=1`` sets): BLAS on more threads already spreads a
+GEMM over the cores, and pooled slices then ran slower than serial ones.
+The pool then has one helper per CPU this process may run on but the
+caller's. And the call's slices must be large enough: their GEMMs must
+average at least POOL_MIN_MACS multiply-adds. numpy and BLAS release the
+GIL only in the arithmetic, so in a smaller call the per-op Python, which
+holds it, keeps two threads from gaining. The 8-16-32-channel model of
 ``configs/default.json`` stays below it (at most 3.5M multiply-adds per
 16-frame conv GEMM, a 1.6M mean over its trunk), the 16-32-64 default
 ``ModelSpec`` above it (4.7M to 9.4M but for its 1x1 projections, a 5.6M
-mean). Each slice writes only its own output columns or gradient frames,
-so the bytes are the same as a serial run's. A slice runs in a copy of the
-caller's context, so numpy's errstate holds inside it; every slice
-finishes before the call returns or raises, and the error raised is the
-first failing slice's, in frame order. A slice that itself slices (a conv
-inside a pooled trunk slice) runs its slices inline: a pool thread that
-waited on the pool could deadlock it. A forked child builds its own pool,
-and ``run_slices_inline`` drops the pool in a process whose siblings
-already fill the cores.
+mean). The caller and the helpers take slices from one shared list until
+it is empty, so the caller never sits idle while the pool works; a helper
+that has not started by then is cancelled. Each slice writes only its own
+output columns or gradient frames, so the bytes are the same as a serial
+run's. A slice runs in a copy of the caller's context, so numpy's errstate
+holds inside it; every slice finishes before the call returns or raises,
+and the error raised is the first failing slice's, in frame order. A slice
+that itself slices (a conv inside a pooled trunk slice) runs its slices
+inline: a helper that waited on the pool could deadlock it. A forked child
+builds its own pool, and ``run_slices_inline`` drops the pool in a process
+whose siblings already fill the cores.
+
+The elementwise passes over an activation run the same way, in blocks of
+whole channels along axis 0 (``run_channel_blocks``): batch norm's forward
+and backward, relu, the residual add fused with its relu (``relu(x,
+skip)``), and the sum of two 4-D gradients in ``backward``. A pass over
+POOL_MIN_ELEMENTS (2^18) or more runs in blocks of about CHANNEL_BLOCK
+(2^17) elements, one channel at least, on the pool when there is one; the
+blocks also bound the temporaries of each op. A smaller pass runs as one
+block, since each block costs Python per op. Every per-channel reduction
+sums one channel in the same order under any blocking, so the bytes do
+not depend on it. A batch norm with ``relu`` applies it in place on its
+own output, one node and one array for the pair.
+
+Each array is checked for NaN/Inf where it is made: a conv's output and
+input gradient inside each frame slice when the slices run on the pool
+(a slice's output columns are checked in place, row by row, with no
+copy), else once after them; batch norm's output and gradients and the
+fused add's sum inside each channel block.
+Their nodes carry ``finite=True``, so ``backward`` does not scan what they
+return again.
 
 Tensors are immutable values once created. A graph is recorded only when
 an input requires grad, so plain inference builds no tape. The graph holds
@@ -81,6 +105,7 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import functools
+import math
 import os
 import platform
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -103,6 +128,8 @@ Array = np.ndarray
 BN_MOMENTUM = 0.1  # weight of the batch statistic in each running-stat update
 FRAME_SLICE = 16  # frames per conv pass (forward and dx) and per tape-free trunk pass
 POOL_MIN_MACS = 1 << 22  # mean multiply-adds per GEMM of one slice below which a call's slices run inline
+CHANNEL_BLOCK = 1 << 17  # elements per block of whole channels in batch norm, relu and gradient sums
+POOL_MIN_ELEMENTS = 1 << 18  # elements below which a channel-blocked pass runs inline
 
 _M_TRIM_THRESHOLD = -1  # glibc <malloc.h> parameter numbers
 _M_MMAP_THRESHOLD = -3
@@ -128,15 +155,26 @@ _FINITE_ROW = 256
 _FINITE_ZEROS = np.zeros(_FINITE_ROW, dtype=np.float32)
 
 
+@functools.lru_cache(maxsize=64)
+def _zero_row(n: int) -> Array:
+    row = np.zeros(n, dtype=np.float32)
+    row.flags.writeable = False
+    return row
+
+
 def _ensure_finite(data: Array, op: str) -> None:
     # one pass: a row's dot with zeros is 0, or NaN when the row holds a NaN or +-Inf; only
     # this row-dot GEMV form is safe (reference BLAS's column form skips zero vector entries)
-    flat = data.ravel(order="K")
-    m = flat.size // _FINITE_ROW
+    if data.ndim == 2 and data.strides[1] == data.itemsize and not data.flags.c_contiguous:
+        # a column block of a matrix (one conv slice's output): its rows, in place
+        rows, tail, zeros = data, None, _zero_row(data.shape[1])
+    else:
+        flat = data.ravel(order="K")
+        m = flat.size // _FINITE_ROW
+        rows, tail, zeros = flat[: m * _FINITE_ROW].reshape(m, _FINITE_ROW), flat[m * _FINITE_ROW :], _FINITE_ZEROS
     with np.errstate(invalid="ignore"):
-        finite = np.isfinite((flat[: m * _FINITE_ROW].reshape(m, _FINITE_ROW) @ _FINITE_ZEROS).sum())
-    tail = flat[m * _FINITE_ROW :]
-    if tail.size:  # min/max: NaN poisons both, and +-Inf shows in one
+        finite = np.isfinite((rows @ zeros).sum())
+    if tail is not None and tail.size:  # min/max: NaN poisons both, and +-Inf shows in one
         finite = finite and np.isfinite(tail.min()) and np.isfinite(tail.max())
     if not finite:
         raise NonFiniteValue(f"op '{op}' produced a non-finite value")
@@ -232,7 +270,8 @@ def _parent(t: Tensor) -> Node | Tensor | None:
 
 
 def _make(data: Array, op: str, inputs: tuple[Tensor, ...], backward_fn, finite: bool = False) -> Tensor:
-    # finite=True: the op cannot make NaN/Inf from checked values, so neither its output nor its gradients are scanned
+    # finite=True: neither the output nor the gradients are scanned here, because the op checks them
+    # itself (conv2d, batchnorm2d) or cannot make NaN/Inf from checked values (relu)
     if not finite:
         _ensure_finite(data, op)
     if any(t.requires_grad for t in inputs):
@@ -350,15 +389,50 @@ def _relu_mask(x: Array) -> Array:
     return x > 0
 
 
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0); the tape keeps the bool mask ``x > 0``, not ``x``."""
-    data = np.maximum(x.data, 0.0)
-    mask = _relu_mask(x.data) if x.requires_grad else None
+def _empty_mask(shape: tuple[int, ...]) -> Array:
+    """An array for relu's mask over ``shape``, filled block by block; one array, not one per block, keeps the heap whole.
+
+    Its dtype is the one ``_relu_mask`` gives: bool, or a test's substitute.
+    """
+    return np.empty(shape, dtype=np.asarray(_relu_mask(np.float32(1.0))).dtype)
+
+
+@np.errstate(over="ignore")  # an overflowing sum raises NonFiniteValue, unwarned
+def relu(x: Tensor, skip: Tensor | None = None) -> Tensor:
+    """max(x, 0); with ``skip``, max(x + skip, 0): a residual add and its relu as one node.
+
+    The tape keeps the mask of the relu's input, ``_relu_mask`` (``> 0``),
+    not the input. It runs per block of whole channels (axis 0,
+    ``run_channel_blocks``); the sum is checked there, block by block. Its
+    gradient is handed to both inputs as one array.
+    """
+    if x.data.ndim == 0:
+        raise ShapeMismatch("relu takes a tensor of at least one dimension")
+    if skip is not None and skip.shape != x.shape:
+        raise ShapeMismatch(f"add: shapes {x.shape} and {skip.shape}")
+    inputs = (x,) if skip is None else (x, skip)
+    tracked = any(t.requires_grad for t in inputs)
+    data = np.empty(x.shape, dtype=np.float32)
+    mask = _empty_mask(x.shape) if tracked else None
+
+    def forward_block(ch: slice) -> None:
+        src = x.data[ch]
+        if skip is not None:
+            src = np.add(src, skip.data[ch], out=data[ch])
+            _ensure_finite(src, "add")
+        if mask is not None:
+            mask[ch] = _relu_mask(src)
+        np.maximum(src, 0.0, out=data[ch])
+
+    run_channel_blocks(forward_block, x.shape)
+    parents = len(inputs)  # the count, not the inputs: the tape keeps no input
 
     def backward(g: Array) -> list[Array | None]:
-        return [g * mask]
+        gx = np.empty_like(g)
+        run_channel_blocks(lambda ch: np.multiply(g[ch], mask[ch], out=gx[ch]), g.shape)
+        return [gx] * parents
 
-    return _make(data, "relu", (x,), backward, finite=True)
+    return _make(data, "relu", inputs, backward, finite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +649,14 @@ def _blas_threads() -> int | None:
 
 
 def _start_pool() -> None:
-    """One slice thread per CPU this process may run on, when BLAS runs each GEMM on one thread; else no pool."""
+    """One helper thread per CPU this process may run on but the caller's, when BLAS runs each GEMM on one thread; else no pool."""
     global _POOL
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    _POOL = ThreadPoolExecutor(cpus, thread_name_prefix="tempt-slice") if cpus > 1 and _blas_threads() == 1 else None
+    _POOL = ThreadPoolExecutor(cpus - 1, thread_name_prefix="tempt-slice") if cpus > 1 and _blas_threads() == 1 else None
 
 
 def run_slices_inline() -> None:
-    """Run every later frame slice of this process on its calling thread, for a process whose siblings fill the cores."""
+    """Run every later slice and block of this process on its calling thread, for a process whose siblings fill the cores."""
     global _POOL
     if _POOL is not None:
         _POOL.shutdown()
@@ -594,28 +668,89 @@ _start_pool()
 os.register_at_fork(after_in_child=lambda: _POOL is not None and _start_pool())
 
 
-def _run_in_slice(fn: Callable[[slice, slice], None], frames: slice, part: slice) -> None:
-    _IN_SLICE.set(True)  # in this slice's own copy of the caller's context
-    fn(frames, part)
+def _pools(parts: int) -> bool:
+    """Whether a call of ``parts`` parts large enough to gain runs them on the pool: not inside a part (see the module docstring)."""
+    return parts > 1 and _POOL is not None and not _IN_SLICE.get()
+
+
+def _run_parts(fn: Callable[..., None], parts: list[tuple]) -> None:
+    """Call ``fn(*part)`` for every part, on the caller and the pool's helpers at once.
+
+    The caller and up to one helper per pool thread drain one shared list
+    of parts, and a helper that has not started when the list is empty is
+    cancelled. Every part runs whichever others fail; then the first
+    failing part's error, in list order, is raised. The parts run in copies
+    of the caller's context (numpy's errstate holds in them), and a part's
+    own parts run inline.
+    """
+    errors: list[Exception | None] = [None] * len(parts)
+    todo = iter(list(enumerate(parts)))  # next() on a list iterator is atomic under the GIL
+
+    def drain() -> None:
+        _IN_SLICE.set(True)  # in this drainer's own copy of the caller's context
+        for i, part in todo:
+            try:
+                fn(*part)
+            except Exception as exc:  # kept, and raised once every part has run
+                errors[i] = exc
+
+    helpers = [_POOL.submit(contextvars.copy_context().run, drain) for _ in range(min(len(parts) - 1, _POOL._max_workers))]
+    try:
+        contextvars.copy_context().run(drain)
+    finally:
+        # wait() would also wait for a cancelled helper until a pool thread dequeues it
+        started = [helper for helper in helpers if not helper.cancel()]
+        wait(started)
+    for helper in started:
+        helper.result()
+    first = next((exc for exc in errors if exc is not None), None)
+    if first is not None:
+        raise first
+
+
+def _slices_pool(n: int, macs_per_frame: int) -> bool:
+    """Whether ``run_frame_slices`` runs the slices of an n-frame call on the pool."""
+    return FRAME_SLICE * macs_per_frame >= POOL_MIN_MACS and _pools(-(-n // FRAME_SLICE))
 
 
 def run_frame_slices(fn: Callable[[slice, slice], None], n: int, per_frame: int, macs_per_frame: int) -> None:
     """Call ``fn(frames, columns)`` for each pair of ``_frame_slices(n, per_frame)``.
 
     Each call must write only its own block. ``macs_per_frame`` is the mean
-    multiply-adds per frame of the GEMMs a slice runs. Two or more slices
-    run on the pool when a full slice's mean reaches POOL_MIN_MACS (see the
-    module docstring), unless this runs inside a slice.
+    multiply-adds per frame of the GEMMs a slice runs. The slices run on the
+    pool when a full slice's mean reaches POOL_MIN_MACS (see the module
+    docstring), unless this runs inside a slice; else in order, and the
+    first error stops them.
     """
     slices = list(_frame_slices(n, per_frame))
-    if _POOL is None or len(slices) < 2 or _IN_SLICE.get() or FRAME_SLICE * macs_per_frame < POOL_MIN_MACS:
-        for frames, part in slices:
-            fn(frames, part)
+    if _slices_pool(n, macs_per_frame):
+        _run_parts(fn, slices)
         return
-    futures = [_POOL.submit(contextvars.copy_context().run, _run_in_slice, fn, frames, part) for frames, part in slices]
-    wait(futures)
-    for future in futures:
-        future.result()
+    for frames, part in slices:
+        fn(frames, part)
+
+
+def run_channel_blocks(fn: Callable[[slice], None], shape: tuple[int, ...]) -> None:
+    """Call ``fn(channels)`` for each block of whole channels (axis 0) of an array of ``shape``.
+
+    Each call must write only its own channels. An array of fewer than
+    POOL_MIN_ELEMENTS is one block: a block costs Python per op, which a
+    small pass would only pay. A larger one runs in blocks of about
+    CHANNEL_BLOCK elements, at least one channel, which bound the
+    temporaries an op makes; on the pool unless this runs inside a slice
+    or a block, else in order, and the first error stops them.
+    """
+    per_channel = math.prod(shape[1:])
+    if shape[0] * per_channel < POOL_MIN_ELEMENTS:
+        fn(slice(0, shape[0]))
+        return
+    step = max(1, CHANNEL_BLOCK // max(per_channel, 1))
+    blocks = [(slice(lo, lo + step),) for lo in range(0, shape[0], step)]
+    if _pools(len(blocks)):
+        _run_parts(fn, blocks)
+        return
+    for channels in blocks:
+        fn(*channels)
 
 
 def conv_forward(x: Array, kernel: Array, stride: int, pad: int, cols: Array | None = None) -> Array:
@@ -624,24 +759,31 @@ def conv_forward(x: Array, kernel: Array, stride: int, pad: int, cols: Array | N
     It runs in FRAME_SLICE-frame slices, on the slice pool when they are
     large enough (``run_frame_slices``): each slice
     builds its own patch matrix, and its GEMM writes straight into its
-    columns of the output. Every output column is the same dot product
-    under any slicing. The whole batch's patch matrix is also written into
-    ``cols`` when given, each slice into its own columns. Unchecked and untracked:
-    ``conv2d`` validates the shapes, and the model's tape-free forward
-    relies on its spec.
+    columns of the output, which it then checks for non-finite values in
+    place. Every output column is the same dot product under any slicing.
+    The whole batch's patch matrix is also written into ``cols`` when
+    given, each slice into its own columns. Untracked: ``conv2d``
+    validates the shapes, and the model's tape-free forward relies on its
+    spec.
     """
     c, n, h, w = x.shape
     f, _, kh, kw = kernel.shape
     oh, ow = _conv_out_hw(h, w, kh, kw, stride, pad)
     wmat = kernel.reshape(f, c * kh * kw)
     out = np.empty((f, n * oh * ow), dtype=np.float32)
+    pooled = _slices_pool(n, wmat.size * oh * ow)
 
     def run(frames: slice, part: slice) -> None:
         block = _im2col(x[:, frames], kh, kw, stride, pad, oh, ow, None if cols is None else cols[:, part])
         np.matmul(wmat, block, out=out[:, part])
+        if pooled:
+            _ensure_finite(out[:, part], "conv2d")
 
     run_frame_slices(run, n, oh * ow, wmat.size * oh * ow)
-    return out.reshape(f, n, oh, ow)
+    out = out.reshape(f, n, oh, ow)
+    if not pooled:
+        _ensure_finite(out, "conv2d")
+    return out
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -675,15 +817,23 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         if cols is not None:
             # gmat @ cols.T's dot products, in the operand order OpenBLAS packs about twice as fast
             gw = (cols @ gmat.T).T.reshape(f, c, kh, kw)
+            _ensure_finite(gw, "backward[conv2d]")
         if need_dx:
             taps = np.ascontiguousarray(kdata.transpose(2, 3, 1, 0))  # (kh,kw,C,F)
             gx = np.empty((c, n, h, w), dtype=np.float32)
-            run_frame_slices(
-                lambda frames, part: _col2im(taps, gmat[:, part], gx[:, frames], stride, pad, oh, ow), n, oh * ow, kdata.size * oh * ow
-            )
+            pooled = _slices_pool(n, kdata.size * oh * ow)
+
+            def dx_slice(frames: slice, part: slice) -> None:
+                _col2im(taps, gmat[:, part], gx[:, frames], stride, pad, oh, ow)
+                if pooled:
+                    _ensure_finite(gx[:, frames].reshape(c, -1), "backward[conv2d]")  # each channel's frames are contiguous
+
+            run_frame_slices(dx_slice, n, oh * ow, kdata.size * oh * ow)
+            if not pooled:
+                _ensure_finite(gx, "backward[conv2d]")
         return [gx, gw]
 
-    return _make(out, "conv2d", (x, kernel), backward)
+    return _make(out, "conv2d", (x, kernel), backward, finite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -699,13 +849,22 @@ def batchnorm2d(
     running_var: Tensor,
     eps: float = 1e-5,
     mode: str = "eval",
+    relu: bool = False,
 ) -> Tensor:
     """Per-channel batch normalization over channel-major (C,N,H,W).
 
     eval mode normalizes with the running statistics and never writes
     them; train mode normalizes with batch statistics and updates the
     running buffers in place with momentum ``BN_MOMENTUM`` (biased
-    variance for normalization, unbiased for the running update).
+    variance for normalization, unbiased for the running update). With
+    ``relu`` the output is max(out, 0), applied in place: the node then
+    keeps relu's mask (``_relu_mask`` of the normalized output), and its
+    backward masks the incoming gradient first.
+
+    The forward and the backward run per block of whole channels
+    (``run_channel_blocks``), each block checking what it wrote; every
+    per-channel reduction sums one channel in the same order under any
+    blocking, so the bytes do not depend on it.
     """
     if eps <= 0:
         raise ShapeMismatch(f"batchnorm eps must be > 0, got {eps}")
@@ -722,62 +881,86 @@ def batchnorm2d(
 
     bc = (c, 1, 1, 1)
     axes = (1, 2, 3)
-    if mode == "eval":
-        mu = running_mean.data.reshape(bc)
-        var = running_var.data.reshape(bc)
-    else:
-        # np.mean's and np.var's own steps, with one float64 sum serving both
-        count = x.data.size // c
-        mu_c = np.add.reduce(x.data, axis=axes, dtype=np.float64) / count
-        dev = x.data - mu_c.reshape(bc)
-        dev *= dev
-        var_c = np.add.reduce(dev, axis=axes, dtype=np.float64) / count
-        del dev
-        if count > 1:
-            var_unbiased = var_c * (count / (count - 1))
-        else:
-            var_unbiased = var_c
-        # in-place running update; stats buffers are never graph nodes
-        running_mean.data[...] = ((1 - BN_MOMENTUM) * running_mean.data + BN_MOMENTUM * mu_c).astype(np.float32)
-        running_var.data[...] = ((1 - BN_MOMENTUM) * running_var.data + BN_MOMENTUM * var_unbiased).astype(np.float32)
-        mu = mu_c.astype(np.float32).reshape(bc)
-        var = var_c.astype(np.float32).reshape(bc)
-
-    inv_std = 1.0 / np.sqrt(var + np.float32(eps))
-    # in place: the same arithmetic as gamma * ((x - mu) * inv_std) + beta, two fewer temporaries
-    xhat = x.data - mu
-    xhat *= inv_std
-    out = gamma.data.reshape(bc) * xhat
-    out += beta.data.reshape(bc)
-    gamma_data, m = gamma.data, x.data.size // c
+    xd, m = x.data, x.data.size // c
+    gamma_data, beta_data = gamma.data.reshape(bc), beta.data.reshape(bc)
     need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    tracked = need_x or need_gamma or need_beta or running_mean.requires_grad or running_var.requires_grad
     # an off-tape input in eval mode is kept in place of xhat (see the module docstring)
-    x_kept = x.data if mode == "eval" and not need_x else None
-    if x_kept is not None:
-        xhat, mu = None, mu.copy()
+    x_kept = xd if tracked and mode == "eval" and not need_x else None
+    if mode == "eval":
+        mu = running_mean.data.reshape(bc).copy()
+        inv_std = 1.0 / np.sqrt(running_var.data.reshape(bc) + np.float32(eps))
+    else:
+        mu, inv_std = np.empty(bc, dtype=np.float32), np.empty(bc, dtype=np.float32)
+    out = np.empty_like(xd)
+    xhat = np.empty_like(xd) if tracked and x_kept is None else None
+    mask = _empty_mask(xd.shape) if relu and tracked else None
+
+    def forward_block(ch: slice) -> None:
+        xb = xd[ch]
+        if mode == "train":
+            # np.mean's and np.var's own steps, with one float64 sum serving both
+            mu_c = np.add.reduce(xb, axis=axes, dtype=np.float64) / m
+            dev = xb - mu_c.reshape(-1, 1, 1, 1)
+            dev *= dev
+            var_c = np.add.reduce(dev, axis=axes, dtype=np.float64) / m
+            del dev
+            var_unbiased = var_c * (m / (m - 1)) if m > 1 else var_c
+            # in-place running update; stats buffers are never graph nodes
+            running_mean.data[ch] = ((1 - BN_MOMENTUM) * running_mean.data[ch] + BN_MOMENTUM * mu_c).astype(np.float32)
+            running_var.data[ch] = ((1 - BN_MOMENTUM) * running_var.data[ch] + BN_MOMENTUM * var_unbiased).astype(np.float32)
+            mu[ch] = mu_c.astype(np.float32).reshape(-1, 1, 1, 1)
+            inv_std[ch] = 1.0 / np.sqrt(var_c.astype(np.float32).reshape(-1, 1, 1, 1) + np.float32(eps))
+        # in place: the same arithmetic as gamma * ((x - mu) * inv_std) + beta, two fewer temporaries
+        if xhat is None:
+            ob = np.subtract(xb, mu[ch], out=out[ch])
+            ob *= inv_std[ch]
+            ob *= gamma_data[ch]
+        else:
+            xh = np.subtract(xb, mu[ch], out=xhat[ch])
+            xh *= inv_std[ch]
+            ob = np.multiply(gamma_data[ch], xh, out=out[ch])
+        ob += beta_data[ch]
+        _ensure_finite(ob, "batchnorm2d")
+        if relu:
+            if mask is not None:
+                mask[ch] = _relu_mask(ob)
+            np.maximum(ob, 0.0, out=ob)
+
+    run_channel_blocks(forward_block, xd.shape)
 
     def backward(g: Array) -> list[Array | None]:
-        xh = xhat
-        if xh is None:
-            xh = x_kept - mu
-            xh *= inv_std
-        gxhat_sum = (g * xh).sum(axis=axes, keepdims=True)
-        gsum = g.sum(axis=axes, keepdims=True)
-        gx = None
-        if need_x:
-            gw = gamma_data.reshape(bc) * inv_std
-            if mode == "eval":
-                gx = g * gw
-            else:
-                # gw * (g - gsum / m - xhat * gxhat_sum / m): the same ops in the same order, in place
-                gx = g - gsum / m
-                gx -= xh * gxhat_sum / m
-                gx *= gw
-        ggamma = gxhat_sum.reshape(c) if need_gamma else None
-        gbeta = gsum.reshape(c) if need_beta else None
-        return [gx, ggamma, gbeta, None, None]
+        gx = np.empty_like(g) if need_x else None
+        ggamma, gbeta = np.empty(c, dtype=np.float32), np.empty(c, dtype=np.float32)
 
-    return _make(out, "batchnorm2d", (x, gamma, beta, running_mean, running_var), backward)
+        def backward_block(ch: slice) -> None:
+            gb = g[ch] * mask[ch] if relu else g[ch]
+            if xhat is None:
+                xh = x_kept[ch] - mu[ch]
+                xh *= inv_std[ch]
+            else:
+                xh = xhat[ch]
+            gxhat_sum = (gb * xh).sum(axis=axes, keepdims=True)
+            gsum = gb.sum(axis=axes, keepdims=True)
+            if need_x:
+                gw = gamma_data[ch] * inv_std[ch]
+                if mode == "eval":
+                    gxb = np.multiply(gb, gw, out=gx[ch])
+                else:
+                    # gw * (g - gsum / m - xhat * gxhat_sum / m): the same ops in the same order, in place
+                    gxb = np.subtract(gb, gsum / m, out=gx[ch])
+                    gxb -= xh * gxhat_sum / m
+                    gxb *= gw
+                _ensure_finite(gxb, "backward[batchnorm2d]")
+            ggamma[ch], gbeta[ch] = gxhat_sum.reshape(-1), gsum.reshape(-1)
+            for grad, needed in ((ggamma, need_gamma), (gbeta, need_beta)):
+                if needed:
+                    _ensure_finite(grad[ch], "backward[batchnorm2d]")
+
+        run_channel_blocks(backward_block, g.shape)
+        return [gx, ggamma if need_gamma else None, gbeta if need_beta else None, None, None]
+
+    return _make(out, "batchnorm2d", (x, gamma, beta, running_mean, running_var), backward, finite=True)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -819,6 +1002,21 @@ def tape_order(root: Node) -> list[Node]:
     return order
 
 
+def _accumulate(a: Array, b: Array, op: str) -> Array:
+    """a + b as a new array, checked; a 4-D sum runs per channel block. Neither operand is written: either may be another parent's gradient too."""
+    if a.ndim != 4:
+        total = a + b
+        _ensure_finite(total, op)
+        return total
+    total = np.empty_like(a)
+
+    def block(ch: slice) -> None:
+        _ensure_finite(np.add(a[ch], b[ch], out=total[ch]), op)
+
+    run_channel_blocks(block, total.shape)
+    return total
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing gradient or sum raises NonFiniteValue, unwarned
 def backward(loss: Tensor) -> dict[Tensor, Tensor]:
     """Run reverse-mode accumulation from a finite scalar loss.
@@ -858,8 +1056,7 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
             if pg is not g and not node.finite:
                 _ensure_finite(pg, f"backward[{node.op}]")
             if p in grads:
-                grads[p] = grads[p] + pg
-                _ensure_finite(grads[p], f"backward[{node.op}] accumulation")
+                grads[p] = _accumulate(grads[p], pg, f"backward[{node.op}] accumulation")
             else:
                 grads[p] = pg
             if isinstance(p, Tensor):

@@ -20,6 +20,7 @@ def pool(monkeypatch):
     executor = ThreadPoolExecutor(2, thread_name_prefix="test-slice")
     monkeypatch.setattr(T, "_POOL", executor)
     monkeypatch.setattr(T, "POOL_MIN_MACS", 0)
+    monkeypatch.setattr(T, "POOL_MIN_ELEMENTS", 0)
     yield executor
     executor.shutdown()
 
@@ -43,9 +44,10 @@ def nan_in_tracked_relu(monkeypatch):
     """
     real_relu = T.relu
 
-    def relu(x):
-        if not x.requires_grad:
-            return real_relu(x)
-        return T._make(np.full_like(x.data, np.nan), "relu", (x,), lambda g: [g])
+    def relu(x, skip=None):
+        inputs = (x,) if skip is None else (x, skip)
+        if not any(t.requires_grad for t in inputs):
+            return real_relu(x, skip)
+        return T._make(np.full_like(x.data, np.nan), "relu", inputs, lambda g: [g] * len(inputs))
 
     monkeypatch.setattr(T, "relu", relu)

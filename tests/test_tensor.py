@@ -135,11 +135,12 @@ def test_nonfinite_raises():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_finite_check_finds_a_non_finite_value_at_every_offset(rng, bad):
-    """Every offset of 4,096 (16 full 256-wide rows), of a 100-value tail, of a transposed and of a strided view."""
+    """Every offset of 4,096 (16 full 256-wide rows), of a 100-value tail, of a transposed, a strided and a column-block view."""
     top = np.finfo(np.float32).max
     flat = rng.uniform(-top, top, size=4096 + 100).astype(np.float32)  # x * 0 is 0 for every finite x
     grid = rng.uniform(-1, 1, size=(64, 96)).astype(np.float32)
-    views = [flat, grid.T, grid[:, ::3]]  # contiguous, F-ordered, and neither
+    # contiguous, F-ordered, neither, and a block of whole-row-stride columns (checked in place, row by row)
+    views = [flat, grid.T, grid[:, ::3], grid[:, 10:70]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for view in views:
@@ -727,11 +728,16 @@ def test_tape_holds_xhat_and_relu_masks_only():
     params = model.build_model(model.ModelSpec(), 0)
     frames = np.random.default_rng(0).uniform(-1, 1, size=(16, 3, 32, 32)).astype(np.float32)
     leaves = params.leaves(trainable=set(params.names_in_group(model.GROUP_BN_AFFINE)))
-    sizes = []  # (elements, bytes per element) of each batch norm's xhat and each relu's mask
+    sizes = []  # (elements, bytes per element) of each batch norm's xhat and each relu's mask, fused or not
     real_bn, real_relu = T.batchnorm2d, T.relu
+
+    def bn(x, *args, relu=False, **kwargs):
+        sizes.extend([(x.data.size, 4)] + [(x.data.size, 1)] * relu)
+        return real_bn(x, *args, relu=relu, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "batchnorm2d", lambda x, *a, **k: sizes.append((x.data.size, 4)) or real_bn(x, *a, **k))
-        mp.setattr(T, "relu", lambda x: sizes.append((x.data.size, 1)) or real_relu(x))
+        mp.setattr(T, "batchnorm2d", bn)
+        mp.setattr(T, "relu", lambda x, skip=None: sizes.append((x.data.size, 1)) or real_relu(x, skip))
         model.forward(params, frames, mode="eval", leaves=leaves)
     tape_bytes = sum(n * b for n, b in sizes)
     assert len(sizes) == 18 and tape_bytes == 2_917_376
