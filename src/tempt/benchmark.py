@@ -61,16 +61,11 @@ def make_split(cfg: BenchmarkConfig, kind: str, hw: int) -> list[SyntheticVideo]
     Only the test split carries glitch frames: deployment streams have
     corruption events the curated training data does not.
     """
-    glitch = 0.0
-    if kind == "train":
-        ranges, count, tag = cfg.train_shift, cfg.train_videos, 0
-    elif kind == "val":
-        ranges, count, tag = ShiftRanges(), cfg.val_videos, 1
-    elif kind == "test":
-        ranges, count, tag = cfg.test_shift, cfg.test_videos, 2
-        glitch = cfg.test_glitch_rate
-    else:
-        raise ValueError(f"unknown split {kind!r}")
+    ranges, count, tag, glitch = {
+        "train": (cfg.train_shift, cfg.train_videos, 0, 0.0),
+        "val": (ShiftRanges(), cfg.val_videos, 1, 0.0),
+        "test": (cfg.test_shift, cfg.test_videos, 2, cfg.test_glitch_rate),
+    }[kind]
     templates = class_templates(min(DEFAULT_PATCH, hw // 2))
     return make_videos(
         count,

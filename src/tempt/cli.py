@@ -27,6 +27,7 @@ from .errors import ConfigError, DivergedLoss, TemptError
 from .gradcheck import LOSS_KINDS, run_gradcheck
 from .metrics import evaluate_logits
 from .model import ModelParams, ModelSpec, load_weights, save_weights
+from .tensor import usable_cpus
 from .training import train
 
 log = logging.getLogger("tempt")
@@ -162,7 +163,7 @@ def cmd_benchmark(args) -> int:
     cfg = load_config(args.config)
     seed = _resolve_seed(args.seed, cfg.benchmark.master_seed)
     cfg = dataclasses.replace(cfg, benchmark=dataclasses.replace(cfg.benchmark, master_seed=seed))
-    jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
+    jobs = usable_cpus() if args.jobs is None else args.jobs
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     params = _load_weights(args.weights, cfg.model)
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: every CPU this process may run on)")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_benchmark)
 

@@ -47,14 +47,17 @@ def _typed(default, value, path: str):
     """``value`` in the type of ``default``.
 
     A dataclass default takes a JSON object, a tuple default a list whose
-    elements each take the type of the default's first element, and a
-    scalar default a finite JSON value of its own type.
+    elements each take the type of the default's first element (as many
+    as the default holds when they are scalars: a stage, a shift range),
+    and a scalar default a finite JSON value of its own type.
     """
     if dataclasses.is_dataclass(default):
         return _build(type(default), value, path)
     if isinstance(default, tuple):
         if type(value) is not list:
             raise ConfigError(f"{path} must be a list, got {type(value).__name__}")
+        if not isinstance(default[0], tuple) and len(value) != len(default):
+            raise ConfigError(f"{path} must hold {len(default)} values, got {len(value)}")
         return tuple(_typed(default[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if type(value) not in _SCALAR_TYPES[type(default)]:
         raise ConfigError(f"{path} must be {type(default).__name__}, got {value!r}")
@@ -79,7 +82,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     try:
         return parse_config(doc)
-    except (ValueError, TypeError, InvalidSpec, InvalidRange) as exc:
+    except (InvalidSpec, InvalidRange) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
 
 

@@ -9,10 +9,6 @@ class ShapeMismatch(TemptError):
     pass
 
 
-class InvalidStride(TemptError):
-    pass
-
-
 class NegativeVariance(TemptError):
     pass
 
@@ -29,10 +25,6 @@ class NonFiniteActivation(NonFiniteValue):
     """A NaN or Inf inside the model's forward pass."""
 
 
-class NonScalarLoss(TemptError):
-    pass
-
-
 class NonFiniteLoss(NonFiniteValue):
     pass
 
@@ -42,10 +34,6 @@ class NonFiniteGradient(NonFiniteValue):
 
 
 class LabelOutOfRange(TemptError):
-    pass
-
-
-class EvenWindow(TemptError):
     pass
 
 

@@ -13,8 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeMismatch
-from .metrics import check_labels
 
 
 @dataclass(frozen=True)
@@ -28,16 +26,9 @@ class ClassCounts:
         return (self.margin_scale / np.power(self.n, 0.25)).astype(np.float32)
 
 
-def _check_labels(labels: Sequence[int], k: int) -> np.ndarray:
-    lab = np.asarray(labels, dtype=np.int64)
-    if lab.ndim != 1:
-        raise ShapeMismatch(f"labels must be 1-D, got shape {lab.shape}")
-    check_labels(lab, k)
-    return lab
-
-
-def _margin_softmax_ce(z: T.Tensor, labels: np.ndarray, margins: np.ndarray) -> T.Tensor:
+def _margin_softmax_ce(z: T.Tensor, labels: Sequence[int], margins: np.ndarray) -> T.Tensor:
     n, k = z.shape
+    labels = np.asarray(labels, dtype=np.int64)
     onehot = np.zeros((n, k), dtype=np.float32)
     onehot[np.arange(n), labels] = 1.0
     z_adj = z - T.Tensor(onehot * margins[labels][:, None])
@@ -55,17 +46,12 @@ def ldam_loss(z: T.Tensor, labels: Sequence[int], counts: ClassCounts) -> T.Tens
     so rarer classes must be predicted with a wider margin. With
     margin_scale 0 this is exactly plain cross-entropy.
     """
-    k = z.shape[1]
-    if len(counts.n) != k:
-        raise ShapeMismatch(f"counts for {len(counts.n)} classes, logits have {k}")
-    lab = _check_labels(labels, k)
-    return _margin_softmax_ce(z, lab, counts.margins())
+    return _margin_softmax_ce(z, labels, counts.margins())
 
 
 def cross_entropy(z: T.Tensor, labels: Sequence[int]) -> T.Tensor:
     """Stabilized softmax cross-entropy, mean over the batch."""
-    lab = _check_labels(labels, z.shape[1])
-    return _margin_softmax_ce(z, lab, np.zeros(z.shape[1], dtype=np.float32))
+    return _margin_softmax_ce(z, labels, np.zeros(z.shape[1], dtype=np.float32))
 
 
 def entropy_loss(z: T.Tensor) -> T.Tensor:
@@ -85,9 +71,6 @@ def temporal_consistency_loss(y: T.Tensor, target: np.ndarray) -> T.Tensor:
     The target is a constant; no gradient flows into it. The caller picks
     the frames: ``adapt_video`` passes only its step batch.
     """
-    target = np.asarray(target, dtype=np.float32)
-    if y.data.shape != target.shape:
-        raise ShapeMismatch(f"target shape {target.shape} != logits shape {y.data.shape}")
     diff = y - T.Tensor(target)
     return T.tensor_mean(T.tensor_sum(diff * diff, axis=1))
 

@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import LabelOutOfRange, LengthMismatch
+from .errors import LabelOutOfRange
 from .temporal import change_rate
 
 
@@ -21,10 +21,10 @@ class EvalResult:
         return {**asdict(self), "confusion": self.confusion.tolist()}
 
 
-def check_labels(labels: np.ndarray, k: int, what: str = "labels") -> None:
+def check_labels(labels: np.ndarray, k: int) -> None:
     """Every entry of ``labels`` is a class index in [0, k)."""
     if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise LabelOutOfRange(f"{what} outside [0,{k})")
+        raise LabelOutOfRange(f"labels outside [0,{k})")
 
 
 def macro_f1(preds, labels, k: int) -> EvalResult:
@@ -35,11 +35,6 @@ def macro_f1(preds, labels, k: int) -> EvalResult:
     """
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
-    if preds.shape != labels.shape or preds.ndim != 1:
-        raise LengthMismatch(f"preds {preds.shape} vs labels {labels.shape}")
-    if preds.size == 0:
-        raise LengthMismatch("empty prediction list")
-    check_labels(preds, k, "preds")
     check_labels(labels, k)
 
     confusion = np.zeros((k, k), dtype=np.int64)
@@ -62,7 +57,4 @@ def macro_f1(preds, labels, k: int) -> EvalResult:
 
 def evaluate_logits(logits: np.ndarray, labels, k: int) -> EvalResult:
     """Argmax the (T, k) series and score it."""
-    logits = np.asarray(logits)
-    if logits.ndim != 2 or logits.shape[1] != k:
-        raise LengthMismatch(f"expected (T,{k}) logits, got {logits.shape}")
     return macro_f1(np.argmax(logits, axis=1), labels, k)

@@ -245,28 +245,22 @@ def forward(
 ) -> T.Tensor:
     """Per-frame logits (N, k) for an (N, 3, H, W) batch.
 
-    Without ``leaves`` this is the tape-free eval forward, and ``mode``
-    must be "eval" and ``stem`` None. ``leaves`` are pre-built graph
-    leaves (they control which parameters require grad) for a tape
+    Without ``leaves`` this is the tape-free eval forward of the frames
+    alone; it reads neither ``mode`` nor ``stem``. ``leaves`` are pre-built
+    graph leaves (they control which parameters require grad) for a tape
     forward in either mode. ``stem`` is ``stem_conv(params, batch)``
-    computed earlier; it replaces the stem convolution and needs a frozen
-    stem kernel.
+    computed earlier; it replaces the stem convolution, so the stem kernel
+    must be frozen.
     """
     spec = params.spec
     x = T.Tensor(batch)
     _check_frames(spec, x)
-    if leaves is None and (mode != "eval" or stem is not None):
-        raise ValueError("a forward without leaves is the eval forward of the frames alone; pass leaves")
-    if stem is not None and stem.shape != (params["stem.conv.w"].array.shape[0], x.shape[0]) + x.shape[2:]:
-        raise ShapeMismatch(f"stem has shape {stem.shape}, expected (C0, N, H, W) for a {x.shape} batch")
 
     try:
         if leaves is None:
             return _forward_untracked(params, x.data)
         if stem is None:
             out = T.conv2d(_channel_major(x), leaves["stem.conv.w"], stride=1, pad=1)
-        elif leaves["stem.conv.w"].requires_grad:
-            raise ValueError("a precomputed stem needs a frozen stem kernel")
         else:
             out = T.Tensor._unchecked(stem)  # a conv output of stem_conv, checked there
         out = _trunk(
@@ -337,8 +331,6 @@ def _trunk_macs(spec: ModelSpec) -> int:
 def _bn_constants(params: ModelParams, prefix: str) -> tuple[np.ndarray, ...]:
     """(mean, 1/std, gamma, beta) of one eval batch-norm layer, each shaped (C, 1, 1, 1)."""
     var = params[f"{prefix}.running_var"].array
-    if float(var.min()) < 0:
-        raise NegativeVariance("running_var has a negative entry")
     bc = (var.shape[0], 1, 1, 1)
     inv_std = 1.0 / np.sqrt(var.reshape(bc) + np.float32(BN_EPS))
     return (
@@ -395,7 +387,11 @@ def save_weights(params: ModelParams) -> bytes:
 
 
 def load_weights(data: bytes, spec: ModelSpec) -> ModelParams:
-    """Parse a weights file, checking each record against ``layout(spec)`` as it is read; builds no model."""
+    """Parse a weights file, checking each record against ``layout(spec)`` as it is read; builds no model.
+
+    It is the one check of running variances: training only mixes
+    non-negative ones, and adaptation never writes them.
+    """
     if len(data) < 9 or data[:4] != WEIGHTS_MAGIC:
         raise CorruptWeights("bad weights magic")
     version, count = struct.unpack_from("<BI", data, 4)
@@ -432,6 +428,8 @@ def load_weights(data: bytes, spec: ModelSpec) -> ModelParams:
         got = (name, arr.shape, params[name].group)
         if got != want:
             raise ArchMismatch(f"entry {got} where the model has {want}")
+        if name.endswith(".running_var") and float(arr.min()) < 0:
+            raise NegativeVariance(f"entry {name!r} has a negative variance")
     if pos != len(data):
         raise CorruptWeights(f"{len(data) - pos} trailing bytes")
     return params

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvenWindow, WindowTooLarge
+from .errors import WindowTooLarge
 
 
 @dataclass(frozen=True)
@@ -22,11 +22,9 @@ class Region:
 
 
 def median_filter(y: np.ndarray, window: int) -> np.ndarray:
-    """Centered per-column running median with edge-inclusive reflect padding."""
+    """Centered per-column running median with edge-inclusive reflect padding; ``window`` is odd (``AdaptConfig`` checks it)."""
     y = np.asarray(y)
     t = y.shape[0]
-    if window % 2 == 0:
-        raise EvenWindow(f"window must be odd, got {window}")
     if not (1 <= window <= 2 * t - 1):
         raise WindowTooLarge(f"window {window} outside [1, {2 * t - 1}] for T={t}")
     if window == 1:
@@ -81,17 +79,15 @@ def select_regions(
 
     Greedy by default: highest change count first, earlier start on
     ties, overlapping candidates skipped. With ``sample`` True the
-    windows are drawn proportionally to their change counts instead
-    (uniformly when every count is zero), which is what gives repeated
-    adaptation runs their spread.
+    windows are drawn from ``rng`` proportionally to their change counts
+    instead (uniformly when every count is zero), which is what gives
+    repeated adaptation runs their spread.
     """
     y = np.asarray(y)
     t = y.shape[0]
     if t <= window:
         return [Region(0, t, count_decision_changes(y))]
     scores = _window_scores(y, window)
-    if sample and rng is None:
-        raise ValueError("sampling selection needs an rng")
 
     chosen: list[Region] = []
     alive = np.ones(len(scores), dtype=bool)

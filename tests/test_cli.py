@@ -13,9 +13,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tempt import cli
+from tempt import cli, config, model
 from tempt import tensor as T
-from tempt.errors import ArchMismatch, ConfigError, CorruptWeights
+from tempt.errors import ArchMismatch, ConfigError, CorruptWeights, NegativeVariance, WindowTooLarge
 
 TINY_CONFIG = {
     "model": {"input_hw": 8, "stages": [[4, 1], [8, 1]], "num_classes": 8, "head_hidden": 8, "head_scale": 16.0},
@@ -165,6 +165,44 @@ def test_too_few_frames_exit_2(capsys, workdir, trained_weights, frames, command
     code, out = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
+
+
+def test_tempt_on_a_video_shorter_than_the_median_window_exits_2(capsys, caplog, workdir, trained_weights):
+    """Three frames under the default median_window of 11: the filter needs at least six."""
+    cfg = workdir / "default_window.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "adapt": {k: v for k, v in TINY_CONFIG["adapt"].items() if k != "median_window"}}))
+    argv = ["adapt", "--weights", str(trained_weights), "--config", str(cfg), "--video", str(_video_prefix(workdir, 3)), "--method", "tempt"]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(WindowTooLarge):
+        args.fn(args)
+    caplog.clear()
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == ["window 11 outside [1, 5] for T=3"]
+
+
+@pytest.mark.parametrize("command", ["eval", "adapt"])
+def test_negative_running_variance_exits_2_before_any_forward(capsys, caplog, workdir, trained_weights, monkeypatch, command):
+    entry = "stage1.block0.bn2.running_var"
+    params = model.load_weights(trained_weights.read_bytes(), config.load_config(workdir / "config.json").model)
+    params[entry].array[0] = -1.0
+    weights = workdir / "negative_variance.twgt"
+    weights.write_bytes(model.save_weights(params))
+    calls = []
+    real_forward = model.forward
+    monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append(1) or real_forward(*a, **k))
+    argv = [command, "--weights", str(weights), "--config", str(workdir / "config.json"), "--video", str(make_video_file(workdir))]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(NegativeVariance) as raised:
+        args.fn(args)
+    assert raised.traceback[-1].name == "load_weights"
+    caplog.clear()
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert calls == []
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [f"entry {entry!r} has a negative variance"]
 
 
 @pytest.mark.parametrize("part", ["video", "weights"])
@@ -531,6 +569,19 @@ def test_benchmark_jobs_below_one_exits_2(capsys, workdir, trained_weights, jobs
     assert code == 2
     assert out == ""
     assert not out_dir.exists()
+
+
+def test_benchmark_jobs_default_to_the_cpus_this_process_may_run_on(capsys, workdir, trained_weights, monkeypatch):
+    """One CPU in the affinity mask of an eight-CPU host: one job."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    jobs = []
+    real_run_benchmark = cli.run_benchmark
+    monkeypatch.setattr(cli, "run_benchmark", lambda *a, **k: jobs.append(k["jobs"]) or real_run_benchmark(*a, **k))
+    argv = ["benchmark", "--weights", str(trained_weights), "--config", str(workdir / "config.json"), "--out", str(workdir / "bench_one_cpu")]
+    code, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert jobs == [1]
 
 
 def test_benchmark_rerun_identical_bytes(capsys, workdir, trained_weights):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,23 @@ def test_value_of_another_json_type_than_its_default_rejected(tmp_path, doc):
         config.load_config(path)
     assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "w.twgt")]) == 2
     assert not (tmp_path / "w.twgt").exists()
+
+
+@pytest.mark.parametrize(
+    "doc,path",
+    [
+        ({"model": {"stages": [[8]]}}, "config.model.stages[0]"),
+        ({"model": {"stages": [[8, 1, 1]]}}, "config.model.stages[0]"),
+        ({"benchmark": {"train_shift": {"brightness": [0.0, 0.1, 0.2]}}}, "config.benchmark.train_shift.brightness"),
+    ],
+    ids=["one-number-stage", "three-number-stage", "three-number-range"],
+)
+def test_stage_or_range_of_another_length_rejected(tmp_path, doc, path):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)} must hold 2 values, got [13]$"):
+        config.parse_config(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "w.twgt")]) == 2
 
 
 @pytest.mark.parametrize("case", ["directory", "utf16-bom", "unreadable"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import struct
 import warnings
 
@@ -128,12 +129,6 @@ def test_precomputed_stem_gives_identical_logits(tiny_params, rng):
     with_stem = model.forward(tiny_params, x, leaves=frozen, stem=stem).data
     assert with_stem.tobytes() == model.forward(tiny_params, x).data.tobytes()
     assert stem.shape == (tiny_params["stem.conv.w"].array.shape[0], 3, 8, 8)  # (C0, N, H, W)
-    with pytest.raises(ShapeMismatch):
-        model.forward(tiny_params, x, leaves=frozen, stem=stem[:, :2])  # two of the batch's three frames
-    with pytest.raises(ShapeMismatch):
-        model.forward(tiny_params, x, leaves=frozen, stem=stem[:2])  # two of the stem's four channels
-    with pytest.raises(ValueError, match="frozen stem kernel"):
-        model.forward(tiny_params, x, leaves=tiny_params.leaves(), stem=stem)
 
 
 def _spread_bn(params: model.ModelParams, seed: int) -> model.ModelParams:
@@ -181,10 +176,6 @@ def test_untracked_forward_raises_typed_errors(tiny_params, rng):
     params = tiny_params.copy()
     params["stem.conv.w"].array[0, 0, 1, 1] = np.inf
     with pytest.raises(NonFiniteActivation, match="conv2d"):
-        model.forward(params, frames)
-    params = tiny_params.copy()
-    params["stage1.block0.bn2.running_var"].array[0] = -1.0
-    with pytest.raises(NegativeVariance):
         model.forward(params, frames)
 
 
@@ -273,16 +264,6 @@ def test_train_mode_updates_running_stats(tiny_spec, rng):
     assert not np.all(params["stem.bn.running_mean"].array == 0.0)
 
 
-def test_forward_without_leaves_is_eval_of_frames_only(tiny_params, rng):
-    x = rng.uniform(-1, 1, size=(2, 3, 8, 8)).astype(np.float32)
-    before = {n: tiny_params[n].array.tobytes() for n in tiny_params.names()}
-    with pytest.raises(ValueError, match="pass leaves"):
-        model.forward(tiny_params, x, mode="train")
-    with pytest.raises(ValueError, match="pass leaves"):
-        model.forward(tiny_params, x, stem=model.stem_conv(tiny_params, x))
-    assert before == {n: tiny_params[n].array.tobytes() for n in tiny_params.names()}
-
-
 # ---------------------------------------------------------------------------
 # weight file
 
@@ -298,6 +279,14 @@ def test_save_load_roundtrip(tiny_spec, rng):
         assert loaded[name].group == params[name].group
         assert loaded[name].trainable == params[name].trainable
     assert model.save_weights(loaded) == blob
+
+
+@pytest.mark.parametrize("entry", ["stem.bn.running_var", "stage1.block0.bn2.running_var"])
+def test_negative_running_variance_rejected_at_load(tiny_spec, tiny_params, entry):
+    params = tiny_params.copy()
+    params[entry].array[0] = -1.0
+    with pytest.raises(NegativeVariance, match=f"^entry '{re.escape(entry)}' has a negative variance$"):
+        model.load_weights(model.save_weights(params), spec=tiny_spec)
 
 
 def test_truncated_weights_rejected(tiny_spec, tiny_params):

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempt import data, model, tten
+from tempt import config, data, model, tten
 from tempt.errors import TemptError
 
 # 2**31 and 2**32 - 1 overflow numpy's index type once two of them multiply
@@ -79,3 +81,61 @@ def test_any_json_sidecar_loads_labels_or_raises_typed(clip, sidecar):
     assert video.labels.dtype == np.int64
     assert video.labels.tolist() == sidecar["labels"]
     assert len(video.labels) == len(video.frames) == CLIP_FRAMES
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def shaped_like(default) -> st.SearchStrategy:
+    """JSON values shaped like a config field's ``default``: itself, or any value of its JSON type (lists of any length for a tuple)."""
+    if dataclasses.is_dataclass(default):
+        return config_documents(default)
+    if isinstance(default, tuple):
+        return st.just(json.loads(json.dumps(default))) | st.lists(shaped_like(default[0]), max_size=4)
+    return st.just(default) | {bool: st.booleans(), int: st.integers(), float: st.floats() | st.integers(), str: st.text(max_size=5)}[type(default)]
+
+
+def config_documents(default) -> st.SearchStrategy:
+    """JSON objects over some of ``default``'s real field names, each value shaped like the field's default or any JSON value."""
+    return st.fixed_dictionaries({}, optional={f.name: shaped_like(getattr(default, f.name)) | JSON for f in dataclasses.fields(default)})
+
+
+@given(config_documents(config.RunConfig()) | JSON)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_any_config_document_parses_or_raises_typed(doc):
+    try:
+        cfg = config.parse_config(doc)
+    except TemptError:
+        return
+    assert isinstance(cfg, config.RunConfig)
+
+
+DEFAULT_CONFIG = (Path(__file__).resolve().parent.parent / "configs" / "default.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "config.json"
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, len(DEFAULT_CONFIG)), st.integers(0, 255)), min_size=1, max_size=4),
+    st.none() | st.integers(0, len(DEFAULT_CONFIG)),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_mutated_config_file_loads_or_raises_typed(config_path, flips, cut):
+    blob = bytearray(DEFAULT_CONFIG)
+    for at, value in flips:
+        blob[at % len(blob)] = value
+    if cut is not None:
+        del blob[cut:]
+    config_path.write_bytes(bytes(blob))
+    try:
+        cfg = config.load_config(config_path)
+    except TemptError:
+        return
+    assert isinstance(cfg, config.RunConfig)

@@ -15,14 +15,7 @@ from hypothesis import strategies as st
 
 from tempt import adapt, losses, model
 from tempt import tensor as T
-from tempt.errors import (
-    InvalidStride,
-    NegativeVariance,
-    NonFiniteLoss,
-    NonFiniteValue,
-    NonScalarLoss,
-    ShapeMismatch,
-)
+from tempt.errors import NonFiniteLoss, NonFiniteValue, ShapeMismatch
 
 
 def fd_check(op, shapes, seed=0, step=1e-3, tol=1e-3, low=-1.0, high=1.0):
@@ -81,11 +74,6 @@ def test_binop_mul_zero_annihilates():
 def test_binop_sub_scalar_cancels():
     out = T.Tensor([5.0, 5.0]) - 5.0
     assert np.array_equal(out.data, [0, 0])
-
-
-def test_binop_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        T.tensor_binop(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4,))), "add")
 
 
 @given(
@@ -186,11 +174,6 @@ def test_matmul_matches_triple_loop(rng):
     b = rng.uniform(-1, 1, size=(3, 3)).astype(np.float32)
     got = T.matmul(T.Tensor(a), T.Tensor(b)).data
     assert np.allclose(got, triple_loop_matmul(a, b), atol=1e-6)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
 
 
 def test_matmul_gradients():
@@ -333,13 +316,6 @@ def test_conv2d_output_shape():
     k = T.Tensor(np.zeros((2, 1, 3, 3), dtype=np.float32))
     assert T.conv2d(T.Tensor(np.zeros((1, 1, 8, 10), dtype=np.float32)), k, stride=2, pad=1).shape == (2, 1, 4, 5)
     _assert_rejected(T.Tensor(np.zeros((1, 1, 7, 9), dtype=np.float32)), k, stride=2, pad=1)  # 7x9 -> 4x5 too
-
-
-def test_conv2d_invalid_stride():
-    x = T.Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
-    k = T.Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
-    with pytest.raises(InvalidStride):
-        T.conv2d(x, k, stride=0)
 
 
 def test_conv2d_kernel_too_large():
@@ -516,13 +492,6 @@ def test_batchnorm_train_updates_stats(rng):
     assert not np.array_equal(var_t.data, var)
 
 
-def test_batchnorm_negative_variance(rng):
-    x, gamma, beta, mean, var = _bn_args(rng)
-    var[0] = -0.5
-    with pytest.raises(NegativeVariance):
-        T.batchnorm2d(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), T.Tensor(mean), T.Tensor(var))
-
-
 @pytest.mark.parametrize("mode", ["eval", "train"])
 def test_batchnorm_gradients(rng, mode):
     x, gamma, beta, mean, var = _bn_args(rng)
@@ -634,12 +603,6 @@ def test_backward_square():
     w = T.Tensor([1.0, 2.0], requires_grad=True)
     grads = T.backward(T.tensor_sum(w * w))
     assert np.array_equal(grads[w].data, [2.0, 4.0])
-
-
-def test_backward_requires_scalar():
-    w = T.Tensor([1.0, 2.0], requires_grad=True)
-    with pytest.raises(NonScalarLoss):
-        T.backward(w * w)
 
 
 def test_backward_rejects_nonfinite_loss():
