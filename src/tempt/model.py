@@ -29,8 +29,10 @@ convs average ``tensor.POOL_MIN_MACS`` multiply-adds per slice
 features, in a copy of the caller's context (so the forward's errstate
 holds in it); the convs inside a slice run inline. Its head runs once over
 the whole batch, because BLAS rounds the head's small matmuls differently
-by row count. Both routes give identical logits and check
-each new array for non-finite values once.
+by row count. Both routes give identical logits. ``tensor``'s one NaN/Inf
+check per value chain rests on this layout: each conv output goes straight
+into a batch norm, and each conv input gradient reaches a batch norm's
+backward through sums and relu masks alone, so that batch norm reports it.
 """
 
 from __future__ import annotations
@@ -262,7 +264,7 @@ def forward(
         if stem is None:
             out = T.conv2d(_channel_major(x), leaves["stem.conv.w"], stride=1, pad=1)
         else:
-            out = T.Tensor._unchecked(stem)  # a conv output of stem_conv, checked there
+            out = T.Tensor._unchecked(stem)  # stem_conv's output, which the stem batch norm checks
         out = _trunk(
             spec,
             out,
@@ -389,8 +391,9 @@ def save_weights(params: ModelParams) -> bytes:
 def load_weights(data: bytes, spec: ModelSpec) -> ModelParams:
     """Parse a weights file, checking each record against ``layout(spec)`` as it is read; builds no model.
 
-    It is the one check of running variances: training only mixes
-    non-negative ones, and adaptation never writes them.
+    It is the one check of the entries' values: each must be finite, and
+    each running variance non-negative (training only mixes non-negative
+    ones, and adaptation never writes them).
     """
     if len(data) < 9 or data[:4] != WEIGHTS_MAGIC:
         raise CorruptWeights("bad weights magic")
@@ -428,6 +431,8 @@ def load_weights(data: bytes, spec: ModelSpec) -> ModelParams:
         got = (name, arr.shape, params[name].group)
         if got != want:
             raise ArchMismatch(f"entry {got} where the model has {want}")
+        if not np.isfinite(arr).all():
+            raise CorruptWeights(f"entry {name!r} holds a non-finite value")
         if name.endswith(".running_var") and float(arr.min()) < 0:
             raise NegativeVariance(f"entry {name!r} has a negative variance")
     if pos != len(data):

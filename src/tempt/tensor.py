@@ -4,10 +4,7 @@ The op set is exactly what the CNN forward pass and the losses need:
 elementwise arithmetic with trailing-dim broadcasting, matmul, transpose, conv2d,
 batchnorm2d (optionally with its relu), relu (optionally after a residual
 add), global average pooling, exp/log/sqrt, reductions and row gathering.
-Every array an op creates is checked for NaN/Inf once, where it is born,
-and the op raises instead of propagating garbage. An array that is finite
-whenever its checked input is (a relu's output and gradient, a gradient
-handed through unchanged) is not scanned again.
+A NaN or Inf raises NonFiniteValue instead of propagating (rule below).
 
 Activations are channel-major: conv2d, batchnorm2d and global_avg_pool
 take (C, N, H, W) maps, so a conv's (F, C*kh*kw) @ (C*kh*kw, N*H'*W')
@@ -62,13 +59,16 @@ sums one channel in the same order under any blocking, so the bytes do
 not depend on it. A batch norm with ``relu`` applies it in place on its
 own output, one node and one array for the pair.
 
-Each array is checked for NaN/Inf where it is made: a conv's output and
-input gradient inside each frame slice when the slices run on the pool
-(a slice's output columns are checked in place, row by row, with no
-copy), else once after them; batch norm's output and gradients and the
-fused add's sum inside each channel block.
-Their nodes carry ``finite=True``, so ``backward`` does not scan what they
-return again.
+One NaN/Inf check per value chain. NaN and +-Inf stay non-finite through
+a subtraction, a scaling by finite constants (0 * Inf is NaN), a relu
+mask and a sum, but a relu turns -Inf into 0 and a GEMM may skip zeros.
+So a chain is scanned once, before a relu, a GEMM or a leaf: batch norm's
+output and gradients, the fused add's sum, conv's kernel gradient, and
+(in ``_make`` and ``backward``) other ops' values and sums that are not
+4-D. Conv outputs and input gradients and 4-D gradient sums are not: in
+the model's layout every conv output goes straight into a batch norm and
+every conv input gradient reaches a batch norm's backward through nothing
+but sums and relu masks, so that batch norm reports a NaN born in a conv.
 
 Tensors are immutable values once created. A graph is recorded only when
 an input requires grad, so plain inference builds no tape. The graph holds
@@ -148,26 +148,15 @@ _FINITE_ROW = 256
 _FINITE_ZEROS = np.zeros(_FINITE_ROW, dtype=np.float32)
 
 
-@functools.lru_cache(maxsize=64)
-def _zero_row(n: int) -> Array:
-    row = np.zeros(n, dtype=np.float32)
-    row.flags.writeable = False
-    return row
-
-
 def _ensure_finite(data: Array, op: str) -> None:
     # one pass: a row's dot with zeros is 0, or NaN when the row holds a NaN or +-Inf; only
     # this row-dot GEMV form is safe (reference BLAS's column form skips zero vector entries)
-    if data.ndim == 2 and data.strides[1] == data.itemsize and not data.flags.c_contiguous:
-        # a column block of a matrix (one conv slice's output): its rows, in place
-        rows, tail, zeros = data, None, _zero_row(data.shape[1])
-    else:
-        flat = data.ravel(order="K")
-        m = flat.size // _FINITE_ROW
-        rows, tail, zeros = flat[: m * _FINITE_ROW].reshape(m, _FINITE_ROW), flat[m * _FINITE_ROW :], _FINITE_ZEROS
+    flat = data.ravel(order="K")
+    m = flat.size // _FINITE_ROW
+    rows, tail = flat[: m * _FINITE_ROW].reshape(m, _FINITE_ROW), flat[m * _FINITE_ROW :]
     with np.errstate(invalid="ignore"):
-        finite = np.isfinite((rows @ zeros).sum())
-    if tail is not None and tail.size:  # min/max: NaN poisons both, and +-Inf shows in one
+        finite = np.isfinite((rows @ _FINITE_ZEROS).sum())
+    if tail.size:  # min/max: NaN poisons both, and +-Inf shows in one
         finite = finite and np.isfinite(tail.min()) and np.isfinite(tail.max())
     if not finite:
         raise NonFiniteValue(f"op '{op}' produced a non-finite value")
@@ -261,8 +250,11 @@ def _parent(t: Tensor) -> Node | Tensor | None:
 
 
 def _make(data: Array, op: str, inputs: tuple[Tensor, ...], backward_fn, finite: bool = False) -> Tensor:
-    # finite=True: neither the output nor the gradients are scanned here, because the op checks them
-    # itself (conv2d, batchnorm2d) or cannot make NaN/Inf from checked values (relu)
+    """The op's output, with a tape node when an input requires grad; scanned for NaN/Inf unless ``finite``.
+
+    ``finite=True`` spares it and its gradients (in ``backward``): the op checks them itself, leaves them to a
+    batch norm by the module docstring's rule (conv2d) or cannot make NaN/Inf from checked values (relu).
+    """
     if not finite:
         _ensure_finite(data, op)
     if any(t.requires_grad for t in inputs):
@@ -686,11 +678,6 @@ def _run_parts(fn: Callable[..., None], parts: list[tuple]) -> None:
         raise first
 
 
-def _slices_pool(n: int, macs_per_frame: int) -> bool:
-    """Whether ``run_frame_slices`` runs the slices of an n-frame call on the pool."""
-    return FRAME_SLICE * macs_per_frame >= POOL_MIN_MACS and _pools(-(-n // FRAME_SLICE))
-
-
 def run_frame_slices(fn: Callable[[slice, slice], None], n: int, per_frame: int, macs_per_frame: int) -> None:
     """Call ``fn(frames, columns)`` for each pair of ``_frame_slices(n, per_frame)``.
 
@@ -701,7 +688,7 @@ def run_frame_slices(fn: Callable[[slice, slice], None], n: int, per_frame: int,
     first error stops them.
     """
     slices = list(_frame_slices(n, per_frame))
-    if _slices_pool(n, macs_per_frame):
+    if FRAME_SLICE * macs_per_frame >= POOL_MIN_MACS and _pools(len(slices)):
         _run_parts(fn, slices)
         return
     for frames, part in slices:
@@ -735,33 +722,26 @@ def conv_forward(x: Array, kernel: Array, stride: int, pad: int, cols: Array | N
     """The (F,N,H',W') output of a (C,N,H,W) map under a (F,C,kh,kw) kernel.
 
     It runs in FRAME_SLICE-frame slices, on the slice pool when they are
-    large enough (``run_frame_slices``): each slice
-    builds its own patch matrix, and its GEMM writes straight into its
-    columns of the output, which it then checks for non-finite values in
-    place. Every output column is the same dot product under any slicing.
-    The whole batch's patch matrix is also written into ``cols`` when
-    given, each slice into its own columns. Untracked: ``conv2d``
-    checks the stride rule, and the model's tape-free forward relies on
-    its spec.
+    large enough (``run_frame_slices``): each slice builds its own patch
+    matrix, and its GEMM writes straight into its columns of the output,
+    unchecked (the batch norm every caller feeds it to checks it). Every
+    output column is the same dot product under any slicing. The whole
+    batch's patch matrix is also written into ``cols`` when given, each
+    slice into its own columns. Untracked: ``conv2d`` checks the stride
+    rule, and the model's tape-free forward relies on its spec.
     """
     c, n, h, w = x.shape
     f, _, kh, kw = kernel.shape
     oh, ow = _conv_out_hw(h, w, kh, kw, stride, pad)
     wmat = kernel.reshape(f, c * kh * kw)
     out = np.empty((f, n * oh * ow), dtype=np.float32)
-    pooled = _slices_pool(n, wmat.size * oh * ow)
 
     def run(frames: slice, part: slice) -> None:
         block = _im2col(x[:, frames], kh, kw, stride, pad, oh, ow, None if cols is None else cols[:, part])
         np.matmul(wmat, block, out=out[:, part])
-        if pooled:
-            _ensure_finite(out[:, part], "conv2d")
 
     run_frame_slices(run, n, oh * ow, wmat.size * oh * ow)
-    out = out.reshape(f, n, oh, ow)
-    if not pooled:
-        _ensure_finite(out, "conv2d")
-    return out
+    return out.reshape(f, n, oh, ow)
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -771,7 +751,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     H' = (H + 2*pad - kh) // stride + 1; H must equal stride*H' and W
     stride*W'. The forward (``conv_forward``) and dx run in FRAME_SLICE
     frame slices, on the slice pool when they are large enough; dw is one
-    GEMM over the whole batch's patch matrix.
+    GEMM over the whole batch's patch matrix, and the only one of the three
+    checked for NaN/Inf: as in the model, the output must go straight into
+    a batch norm, and dx reach one's backward through sums and relu masks.
     """
     c, n, h, w = x.shape
     f, _, kh, kw = kernel.shape
@@ -793,16 +775,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
         if need_dx:
             taps = np.ascontiguousarray(kdata.transpose(2, 3, 1, 0))  # (kh,kw,C,F)
             gx = np.empty((c, n, h, w), dtype=np.float32)
-            pooled = _slices_pool(n, kdata.size * oh * ow)
 
             def dx_slice(frames: slice, part: slice) -> None:
                 _col2im(taps, gmat[:, part], gx[:, frames], stride, pad, oh, ow)
-                if pooled:
-                    _ensure_finite(gx[:, frames].reshape(c, -1), "backward[conv2d]")  # each channel's frames are contiguous
 
             run_frame_slices(dx_slice, n, oh * ow, kdata.size * oh * ow)
-            if not pooled:
-                _ensure_finite(gx, "backward[conv2d]")
         return [gx, gw]
 
     return _make(out, "conv2d", (x, kernel), backward, finite=True)
@@ -961,17 +938,16 @@ def tape_order(root: Node) -> list[Node]:
 
 
 def _accumulate(a: Array, b: Array, op: str) -> Array:
-    """a + b as a new array, checked; a 4-D sum runs per channel block. Neither operand is written: either may be another parent's gradient too."""
+    """a + b as a new array, written to neither operand: either may be another parent's gradient too.
+
+    A 4-D sum runs per channel block, unchecked (the module docstring's rule); any other is checked.
+    """
     if a.ndim != 4:
         total = a + b
         _ensure_finite(total, op)
-        return total
-    total = np.empty_like(a)
-
-    def block(ch: slice) -> None:
-        _ensure_finite(np.add(a[ch], b[ch], out=total[ch]), op)
-
-    run_channel_blocks(block, total.shape)
+    else:
+        total = np.empty_like(a)
+        run_channel_blocks(lambda ch: np.add(a[ch], b[ch], out=total[ch]), total.shape)
     return total
 
 
@@ -1007,8 +983,7 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
         for p, pg in zip(node.parents, parent_grads):
             if pg is None or p is None:
                 continue
-            # g itself was checked when it was formed; a gradient passed through, or formed
-            # from g by an op that cannot make NaN/Inf (relu's g * mask), is not scanned again
+            # a gradient handed through unchanged is scanned as g was; a finite node's by the module docstring's rule
             if pg is not g and not node.finite:
                 _ensure_finite(pg, f"backward[{node.op}]")
             if p in grads:

@@ -227,16 +227,23 @@ def _overflowing_loss(rng, which):
 
     The loss is sum(out * 3e38): the op's output stays small enough for
     the product to be finite, and the gradient it hands the op, 3e38, is
-    finite too.
+    finite too. The conv's dx is left unchecked, so its input comes from a
+    batch norm with relu, as every tracked conv input in the model does,
+    and that batch norm's backward names it.
     """
     big = T.Tensor(np.full((4, 2, 4, 4), 3e38, dtype=np.float32))
     x = rng.uniform(1.0, 2.0, size=(4, 2, 4, 4)).astype(np.float32)
+    stats = [T.Tensor(np.zeros(4, dtype=np.float32)), T.Tensor(np.ones(4, dtype=np.float32))]
+    ones, zeros = T.Tensor(np.ones(4, dtype=np.float32)), T.Tensor(np.zeros(4, dtype=np.float32))
     if which.startswith("conv"):
         # dx sums kernel * 3e38 over 36 taps, dw sums x * 3e38 over 32 pixels
         scale, value = (1e-20, 10.0) if which == "conv-dx" else (1.0, 1e-10)
         xt = T.Tensor(x * np.float32(scale), requires_grad=which == "conv-dx")
+        if which == "conv-dx":  # an identity batch norm: positive x passes its relu
+            xt = T.batchnorm2d(xt, ones, zeros, *stats, eps=EPS, mode="eval", relu=True)
         kernel = T.Tensor(np.full((4, 4, 3, 3), value, dtype=np.float32), requires_grad=which == "conv-dw")
-        return T.tensor_sum(T.conv2d(xt, kernel, stride=1, pad=1) * big), "backward[conv2d]"
+        loss = T.tensor_sum(T.conv2d(xt, kernel, stride=1, pad=1) * big)
+        return loss, "backward[batchnorm2d]" if which == "conv-dx" else "backward[conv2d]"
     # eval, mean 0 and variance 1: dx is 3e38 * gamma, dgamma sums 3e38 * xhat and dbeta sums 3e38
     scale, value = (1e-30, 4.0) if which == "bn-dx" else (1.0, 1e-3)
     leaves = [
@@ -244,7 +251,6 @@ def _overflowing_loss(rng, which):
         T.Tensor(np.full(4, value, dtype=np.float32), requires_grad=which == "bn-dgamma"),
         T.Tensor(np.zeros(4, dtype=np.float32), requires_grad=which == "bn-dbeta"),
     ]
-    stats = [T.Tensor(np.zeros(4, dtype=np.float32)), T.Tensor(np.ones(4, dtype=np.float32))]
     return T.tensor_sum(T.batchnorm2d(*leaves, *stats, eps=EPS, mode="eval") * big), "backward[batchnorm2d]"
 
 

@@ -182,19 +182,18 @@ def test_tempt_on_a_video_shorter_than_the_median_window_exits_2(capsys, caplog,
     assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == ["window 11 outside [1, 5] for T=3"]
 
 
-@pytest.mark.parametrize("command", ["eval", "adapt"])
-def test_negative_running_variance_exits_2_before_any_forward(capsys, caplog, workdir, trained_weights, monkeypatch, command):
-    entry = "stage1.block0.bn2.running_var"
+def _bad_entry_exits_2_before_any_forward(capsys, caplog, workdir, trained_weights, monkeypatch, command, entry, value, error, message):
+    """Trained weights with ``value`` as the first element of ``entry``: ``load_weights`` raises ``error``, and the CLI exits 2 logging ``message``, before any forward."""
     params = model.load_weights(trained_weights.read_bytes(), config.load_config(workdir / "config.json").model)
-    params[entry].array[0] = -1.0
-    weights = workdir / "negative_variance.twgt"
+    params[entry].array.reshape(-1)[0] = value
+    weights = workdir / "bad_entry.twgt"
     weights.write_bytes(model.save_weights(params))
     calls = []
     real_forward = model.forward
     monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append(1) or real_forward(*a, **k))
     argv = [command, "--weights", str(weights), "--config", str(workdir / "config.json"), "--video", str(make_video_file(workdir))]
     args = cli.build_parser().parse_args(argv)
-    with pytest.raises(NegativeVariance) as raised:
+    with pytest.raises(error) as raised:
         args.fn(args)
     assert raised.traceback[-1].name == "load_weights"
     caplog.clear()
@@ -202,7 +201,25 @@ def test_negative_running_variance_exits_2_before_any_forward(capsys, caplog, wo
     assert code == 2
     assert out == ""
     assert calls == []
-    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [f"entry {entry!r} has a negative variance"]
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [message]
+
+
+@pytest.mark.parametrize("command", ["eval", "adapt"])
+def test_negative_running_variance_exits_2_before_any_forward(capsys, caplog, workdir, trained_weights, monkeypatch, command):
+    entry = "stage1.block0.bn2.running_var"
+    message = f"entry {entry!r} has a negative variance"
+    _bad_entry_exits_2_before_any_forward(capsys, caplog, workdir, trained_weights, monkeypatch, command, entry, -1.0, NegativeVariance, message)
+
+
+@pytest.mark.parametrize(
+    "entry,value",
+    [("stage1.block0.bn2.running_var", np.nan), ("stage0.block0.conv1.w", np.inf), ("stem.bn.gamma", -np.inf)],
+    ids=["nan-variance", "inf-kernel", "-inf-gamma"],
+)
+@pytest.mark.parametrize("command", ["eval", "adapt"])
+def test_non_finite_entry_exits_2_before_any_forward(capsys, caplog, workdir, trained_weights, monkeypatch, command, entry, value):
+    message = f"entry {entry!r} holds a non-finite value"
+    _bad_entry_exits_2_before_any_forward(capsys, caplog, workdir, trained_weights, monkeypatch, command, entry, value, CorruptWeights, message)
 
 
 @pytest.mark.parametrize("part", ["video", "weights"])

@@ -175,7 +175,7 @@ def test_untracked_forward_raises_typed_errors(tiny_params, rng):
     frames = rng.uniform(-1, 1, size=(40, 3, 8, 8)).astype(np.float32)
     params = tiny_params.copy()
     params["stem.conv.w"].array[0, 0, 1, 1] = np.inf
-    with pytest.raises(NonFiniteActivation, match="conv2d"):
+    with pytest.raises(NonFiniteActivation, match="^op 'batchnorm2d'"):  # the stem conv's output, at the stem batch norm
         model.forward(params, frames)
 
 
@@ -286,6 +286,19 @@ def test_negative_running_variance_rejected_at_load(tiny_spec, tiny_params, entr
     params = tiny_params.copy()
     params[entry].array[0] = -1.0
     with pytest.raises(NegativeVariance, match=f"^entry '{re.escape(entry)}' has a negative variance$"):
+        model.load_weights(model.save_weights(params), spec=tiny_spec)
+
+
+# a NaN variance passes a "< 0" test; an Inf kernel or gamma would only show at the first forward
+@pytest.mark.parametrize(
+    "entry,value",
+    [("stage1.block0.bn2.running_var", np.nan), ("stage0.block0.conv1.w", np.inf), ("stem.bn.gamma", -np.inf)],
+    ids=["nan-variance", "inf-kernel", "-inf-gamma"],
+)
+def test_non_finite_entry_rejected_at_load(tiny_spec, tiny_params, entry, value):
+    params = tiny_params.copy()
+    params[entry].array.reshape(-1)[-1] = value
+    with pytest.raises(CorruptWeights, match=f"^entry '{re.escape(entry)}' holds a non-finite value$"):
         model.load_weights(model.save_weights(params), spec=tiny_spec)
 
 

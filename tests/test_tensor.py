@@ -127,7 +127,7 @@ def test_finite_check_finds_a_non_finite_value_at_every_offset(rng, bad):
     top = np.finfo(np.float32).max
     flat = rng.uniform(-top, top, size=4096 + 100).astype(np.float32)  # x * 0 is 0 for every finite x
     grid = rng.uniform(-1, 1, size=(64, 96)).astype(np.float32)
-    # contiguous, F-ordered, neither, and a block of whole-row-stride columns (checked in place, row by row)
+    # contiguous, F-ordered, neither, and a block of whole-row-stride columns
     views = [flat, grid.T, grid[:, ::3], grid[:, 10:70]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
