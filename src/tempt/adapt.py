@@ -88,14 +88,15 @@ def trainable_subset(params: model.ModelParams, method: str) -> list[str]:
 
 
 def forward_all(params: model.ModelParams, frames: np.ndarray, chunk: int = AdaptConfig.batch_frames_cap) -> np.ndarray:
-    """Untracked eval-mode logits for every frame, in fixed-size chunks."""
+    """Untracked eval-mode logits for every frame of a video.
+
+    One tape-free trunk pass runs over the whole video, and the head over
+    each ``chunk`` rows in turn (``model.forward_untracked``): the logits
+    have the bytes of ``model.forward`` on each ``chunk``-frame piece.
+    """
     if frames.shape[0] == 0:
         raise TooFewFrames("a video needs at least one frame")
-    outs = []
-    for lo in range(0, frames.shape[0], chunk):
-        z = model.forward(params, frames[lo : lo + chunk], mode="eval")
-        outs.append(z.data)
-    return np.concatenate(outs, axis=0)
+    return model.forward_untracked(params, frames, chunk)
 
 
 def _round_robin_cap(regions: list[temporal.Region], cap: int) -> np.ndarray:

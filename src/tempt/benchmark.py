@@ -195,6 +195,8 @@ def run_benchmark(
     A method whose result does not depend on its seed (see ``_seed_free``)
     is evaluated once per video and its row replicated to every repeat.
     Other adaptation repeats differ only through their derived seeds.
+    ``jobs`` above 1 runs the tasks on that many spawned workers, at most
+    one per task.
     """
     tasks: list[tuple[int, str, int, int, AdaptConfig]] = []
     for vi in range(len(videos)):
@@ -209,7 +211,7 @@ def run_benchmark(
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
         try:
             with ProcessPoolExecutor(
-                max_workers=jobs,
+                max_workers=min(jobs, len(tasks)),  # a worker past the task count would copy the videos only to sit idle
                 mp_context=get_context("spawn"),
                 initializer=_init_worker,
                 initargs=(base_params, videos, True),

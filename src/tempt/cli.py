@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: every CPU this process may run on)")
+    p.add_argument("--jobs", type=int, default=None, help="worker processes, at most one per task (default: every CPU this process may run on)")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_benchmark)
 

@@ -17,22 +17,28 @@ route. There each batch norm followed by a relu is one ``batchnorm2d``
 node with ``relu=True``, and each residual add with its relu one ``relu``
 node with a ``skip``: no array for the pre-relu values, and one pass fewer
 per pair (``tensor`` runs both per channel block). Without leaves
-(``adapt.forward_all``: inference and the before/after logit series of an
-adaptation) it runs in eval mode only, tape-free: it owns its buffers and
-applies batch norm, relu and the residual add in place on each conv's own
-output, in the same float32 ops and order. Its trunk (stem through pooled
-features) runs on ``tensor.FRAME_SLICE`` (16) frames at a time, the slice
-every conv runs in, which gives the same bytes under any slicing. When its
-convs average ``tensor.POOL_MIN_MACS`` multiply-adds per slice
-(``_trunk_macs``), the trunk slices run at once on the caller and
-``tensor``'s slice pool, each writing only its own rows of the pooled
-features, in a copy of the caller's context (so the forward's errstate
-holds in it); the convs inside a slice run inline. Its head runs once over
-the whole batch, because BLAS rounds the head's small matmuls differently
-by row count. Both routes give identical logits. ``tensor``'s one NaN/Inf
-check per value chain rests on this layout: each conv output goes straight
-into a batch norm, and each conv input gradient reaches a batch norm's
-backward through sums and relu masks alone, so that batch norm reports it.
+(``forward_untracked``: ``adapt.forward_all``'s inference and the
+before/after logit series of an adaptation) it runs in eval mode only,
+tape-free: it owns its buffers and applies batch norm, relu and the
+residual add in place on each conv's own output, in the same float32 ops
+and order. Its trunk (stem through pooled features) runs once over every
+frame it is given, a whole clip for ``adapt.forward_all``, TRUNK_SLICE
+(32) frames at a time; each conv inside a slice runs ``tensor.FRAME_SLICE``
+(16) frame GEMMs. When those GEMMs average ``tensor.POOL_MIN_MACS``
+multiply-adds over its convs (``_trunk_macs``), the trunk slices
+run at once on the caller and ``tensor``'s slice pool, each writing only
+its own rows of the pooled features, in a copy of the caller's context (so
+the forward's errstate holds in it); the convs inside a slice run inline.
+Its head runs once per row chunk (the whole batch for ``forward``, each
+``chunk`` rows for ``forward_all``), because BLAS rounds the head's small
+matmuls differently by row count, and the trunk slices start anew at each
+chunk, because BLAS also rounds a conv GEMM over a frame or two
+differently from a wider one. So each chunk's logits have the bytes of a
+``forward`` of that chunk, and both routes give identical logits.
+``tensor``'s one NaN/Inf check per value chain rests on this layout: each
+conv output goes straight into a batch norm, and each conv input gradient
+reaches a batch norm's backward through sums and relu masks alone, so that
+batch norm reports it.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ WEIGHTS_VERSION = 1
 
 HEAD_NORM_EPS = 1e-8
 BN_EPS = 1e-5
+TRUNK_SLICE = 32  # frames per slice of the tape-free trunk
 
 
 @dataclass(frozen=True)
@@ -247,20 +254,20 @@ def forward(
 ) -> T.Tensor:
     """Per-frame logits (N, k) for an (N, 3, H, W) batch.
 
-    Without ``leaves`` this is the tape-free eval forward of the frames
-    alone; it reads neither ``mode`` nor ``stem``. ``leaves`` are pre-built
-    graph leaves (they control which parameters require grad) for a tape
-    forward in either mode. ``stem`` is ``stem_conv(params, batch)``
-    computed earlier; it replaces the stem convolution, so the stem kernel
-    must be frozen.
+    Without ``leaves`` this is ``forward_untracked`` with the whole batch
+    as one head chunk; it reads neither ``mode`` nor ``stem``. ``leaves``
+    are pre-built graph leaves (they control which parameters require grad)
+    for a tape forward in either mode. ``stem`` is ``stem_conv(params,
+    batch)`` computed earlier; it replaces the stem convolution, so the
+    stem kernel must be frozen.
     """
+    if leaves is None:
+        return T.Tensor._unchecked(forward_untracked(params, batch))
     spec = params.spec
     x = T.Tensor(batch)
     _check_frames(spec, x)
 
     try:
-        if leaves is None:
-            return _forward_untracked(params, x.data)
         if stem is None:
             out = T.conv2d(_channel_major(x), leaves["stem.conv.w"], stride=1, pad=1)
         else:
@@ -291,13 +298,24 @@ def _head(spec: ModelSpec, leaves, feat: T.Tensor) -> T.Tensor:
 # tape-free eval forward
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises at its check, unwarned
-def _forward_untracked(params: ModelParams, frames: np.ndarray) -> T.Tensor:
-    """Eval-mode logits without a tape (see the module docstring); frames and parameters are only read."""
+def forward_untracked(params: ModelParams, frames: np.ndarray, chunk: int | None = None) -> np.ndarray:
+    """Eval-mode logits (N, k) of an (N, 3, H, W) batch without a tape (see the module docstring).
+
+    The trunk runs once over all N frames, its slices starting anew at
+    each ``chunk`` rows, and the head over each ``chunk`` rows in turn (all
+    N when None), so the logits have the bytes of ``forward`` on each
+    ``chunk``-frame piece. Frames and parameters are only read; a NaN or
+    Inf raises NonFiniteActivation.
+    """
     spec = params.spec
-    prefixes = [n.removesuffix(".running_var") for n in params.names_in_group(GROUP_BN_STATS) if n.endswith(".running_var")]
+    x = T.Tensor(frames)
+    _check_frames(spec, x)
+    frames, n = x.data, x.shape[0]
+    prefixes = [name.removesuffix(".running_var") for name in params.names_in_group(GROUP_BN_STATS) if name.endswith(".running_var")]
     bn = {prefix: _bn_constants(params, prefix) for prefix in prefixes}
-    feat = np.empty((frames.shape[0], spec.stages[-1][0]), dtype=np.float32)
+    head = {name: T.Tensor._unchecked(params[name].array) for name in ("head.fc1.w", "head.fc1.b", "head.out.w")}
+    feat = np.empty((n, spec.stages[-1][0]), dtype=np.float32)
+    logits = np.empty((n, spec.num_classes), dtype=np.float32)
 
     def trunk_slice(part: slice, _) -> None:
         out = _trunk(
@@ -311,9 +329,15 @@ def _forward_untracked(params: ModelParams, frames: np.ndarray) -> T.Tensor:
         T._ensure_finite(pooled, "global_avg_pool")
         feat[part] = pooled.T
 
-    T.run_frame_slices(trunk_slice, frames.shape[0], 1, _trunk_macs(spec))
-    head = {name: T.Tensor._unchecked(params[name].array) for name in ("head.fc1.w", "head.fc1.b", "head.out.w")}
-    return _head(spec, head, T.Tensor._unchecked(feat))
+    rows = max(n if chunk is None else chunk, 1)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises at its check, unwarned
+            T.run_frame_slices(trunk_slice, n, TRUNK_SLICE, 1, _trunk_macs(spec), chunk=rows)
+            for lo in range(0, n, rows):
+                logits[lo : lo + rows] = _head(spec, head, T.Tensor._unchecked(feat[lo : lo + rows])).data
+    except NonFiniteValue as exc:
+        raise NonFiniteActivation(str(exc)) from exc
+    return logits
 
 
 @functools.lru_cache(maxsize=16)

@@ -17,9 +17,13 @@ as every conv of the model is, and raises ShapeMismatch for any other.
 A conv runs its forward and its input gradient FRAME_SLICE (16) frames
 at a time along axis 1, so each slice's patch matrix and tap products stay
 near cache size whatever the batch; every output column and every input
-gradient pixel is the same dot product in the same order under any
-slicing, so the bytes do not depend on it. The kernel gradient stays one
+gradient pixel is the same dot product under any slicing, so the bytes
+do not depend on it, except in a GEMM of fewer than about 32 columns (one
+frame at 4x4), which OpenBLAS rounds apart. The kernel gradient stays one
 GEMM over the whole batch's patch matrix, kept only when it is needed.
+``run_frame_slices`` takes its slice size from its caller: a conv passes
+FRAME_SLICE, and the model's tape-free trunk its own, larger slice, whose
+convs still run FRAME_SLICE-frame GEMMs inside it.
 
 The slices of one call run at once, on the calling thread and a
 module-level pool of helper threads, when two conditions hold
@@ -28,11 +32,11 @@ bundled OpenBLAS reports when the pool starts (it is what
 ``OPENBLAS_NUM_THREADS=1`` sets): BLAS on more threads already spreads a
 GEMM over the cores, and pooled slices then ran slower than serial ones.
 The pool then has one helper per CPU this process may run on but the
-caller's. And the call's slices must be large enough: their GEMMs must
-average at least POOL_MIN_MACS multiply-adds. numpy and BLAS release the
-GIL only in the arithmetic, so in a smaller call the per-op Python, which
-holds it, keeps two threads from gaining. The 8-16-32-channel model of
-``configs/default.json`` stays below it (at most 3.5M multiply-adds per
+caller's. And the call's GEMMs must be large enough: over FRAME_SLICE
+frames they must average at least POOL_MIN_MACS multiply-adds. numpy and
+BLAS release the GIL only in the arithmetic, so in a smaller call the
+per-op Python, which holds it, keeps two threads from gaining. The
+8-16-32-channel model of ``configs/default.json`` stays below it (at most 3.5M multiply-adds per
 16-frame conv GEMM, a 1.6M mean over its trunk), the 16-32-64 default
 ``ModelSpec`` above it (4.7M to 9.4M but for its 1x1 projections, a 5.6M
 mean). The caller and the helpers take slices from one shared list until
@@ -119,7 +123,7 @@ from .errors import NonFiniteLoss, NonFiniteValue, ShapeMismatch
 Array = np.ndarray
 
 BN_MOMENTUM = 0.1  # weight of the batch statistic in each running-stat update
-FRAME_SLICE = 16  # frames per conv pass (forward and dx) and per tape-free trunk pass
+FRAME_SLICE = 16  # frames per conv GEMM (forward and dx); the tape-free trunk's slice is the model's own
 POOL_MIN_MACS = 1 << 22  # mean multiply-adds per GEMM of one slice below which a call's slices run inline
 CHANNEL_BLOCK = 1 << 17  # elements per block of whole channels in batch norm, relu and gradient sums
 POOL_MIN_ELEMENTS = 1 << 18  # elements below which a channel-blocked pass runs inline
@@ -587,13 +591,6 @@ def _col2im(taps: Array, gmat: Array, gx: Array, stride: int, pad: int, oh: int,
             grid[:, :, :, u, :, v] = phase.reshape(c, n, oh, ow)
 
 
-def _frame_slices(n: int, per_frame: int):
-    """(frames, columns) slice pairs of each FRAME_SLICE-frame block of an n-frame batch."""
-    for lo in range(0, n, FRAME_SLICE):
-        hi = min(lo + FRAME_SLICE, n)
-        yield slice(lo, hi), slice(lo * per_frame, hi * per_frame)
-
-
 _POOL: ThreadPoolExecutor | None = None
 _IN_SLICE = contextvars.ContextVar("tempt_in_slice", default=False)
 
@@ -678,16 +675,27 @@ def _run_parts(fn: Callable[..., None], parts: list[tuple]) -> None:
         raise first
 
 
-def run_frame_slices(fn: Callable[[slice, slice], None], n: int, per_frame: int, macs_per_frame: int) -> None:
-    """Call ``fn(frames, columns)`` for each pair of ``_frame_slices(n, per_frame)``.
+def run_frame_slices(
+    fn: Callable[[slice, slice], None], n: int, size: int, per_frame: int, macs_per_frame: int, chunk: int | None = None
+) -> None:
+    """Call ``fn(frames, columns)`` for each ``size``-frame block of an n-frame batch.
 
-    Each call must write only its own block. ``macs_per_frame`` is the mean
-    multiply-adds per frame of the GEMMs a slice runs. The slices run on the
-    pool when a full slice's mean reaches POOL_MIN_MACS (see the module
+    With ``chunk``, the blocks restart at every ``chunk`` frames, so none
+    spans two chunks. ``columns`` spans the block's ``per_frame`` columns
+    per frame. Each call must write only its own block. ``macs_per_frame``
+    is the mean multiply-adds per frame of the GEMMs a slice runs, each
+    over at most FRAME_SLICE frames. The slices run on the pool when a
+    FRAME_SLICE-frame GEMM's mean reaches POOL_MIN_MACS (see the module
     docstring), unless this runs inside a slice; else in order, and the
     first error stops them.
     """
-    slices = list(_frame_slices(n, per_frame))
+    period = chunk or max(n, 1)
+    bounds = [
+        (lo, min(lo + size, start + period, n))
+        for start in range(0, n, period)
+        for lo in range(start, min(start + period, n), size)
+    ]
+    slices = [(slice(lo, hi), slice(lo * per_frame, hi * per_frame)) for lo, hi in bounds]
     if FRAME_SLICE * macs_per_frame >= POOL_MIN_MACS and _pools(len(slices)):
         _run_parts(fn, slices)
         return
@@ -740,7 +748,7 @@ def conv_forward(x: Array, kernel: Array, stride: int, pad: int, cols: Array | N
         block = _im2col(x[:, frames], kh, kw, stride, pad, oh, ow, None if cols is None else cols[:, part])
         np.matmul(wmat, block, out=out[:, part])
 
-    run_frame_slices(run, n, oh * ow, wmat.size * oh * ow)
+    run_frame_slices(run, n, FRAME_SLICE, oh * ow, wmat.size * oh * ow)
     return out.reshape(f, n, oh, ow)
 
 
@@ -779,7 +787,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
             def dx_slice(frames: slice, part: slice) -> None:
                 _col2im(taps, gmat[:, part], gx[:, frames], stride, pad, oh, ow)
 
-            run_frame_slices(dx_slice, n, oh * ow, kdata.size * oh * ow)
+            run_frame_slices(dx_slice, n, FRAME_SLICE, oh * ow, kdata.size * oh * ow)
         return [gx, gw]
 
     return _make(out, "conv2d", (x, kernel), backward, finite=True)

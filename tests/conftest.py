@@ -25,6 +25,15 @@ def pool(monkeypatch):
     executor.shutdown()
 
 
+@pytest.fixture(params=["pool", "inline"])
+def slices(request, monkeypatch):
+    """Each case runs on the ``pool`` fixture's two-thread pool, which takes calls of any size, and with every slice inline."""
+    if request.param == "pool":
+        request.getfixturevalue("pool")
+    else:
+        monkeypatch.setattr(T, "_POOL", None)
+
+
 @pytest.fixture(scope="session")
 def tiny_spec():
     return model.ModelSpec(input_hw=8, stages=((4, 1), (8, 1)), num_classes=8, head_hidden=8, head_scale=16.0)

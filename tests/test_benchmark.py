@@ -100,6 +100,34 @@ def test_jobs_2_gives_the_rows_of_jobs_1_with_its_workers_inline(mini, pool, mon
         assert workers.submit(threading.active_count).result() == 1  # no slice thread was ever started
 
 
+@pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (64, 3)])
+def test_the_workers_never_outnumber_the_tasks(mini, monkeypatch, jobs, workers):
+    """One video, three methods, one repeat: three tasks, so at most three workers, whatever ``jobs`` asks."""
+    params, videos, adapt_cfg = mini
+    made = []
+
+    class InProcessPool:
+        """Stands in for the process pool: records its worker count and runs each task in this process, starting none."""
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            made.append(max_workers)
+            initializer(*initargs[:2])  # without ``inline``: this process keeps its slice pool
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            benchmark._WORKER.clear()
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(benchmark, "ProcessPoolExecutor", InProcessPool)
+    res = benchmark.run_benchmark(params, videos[:1], adapt_cfg, repeats=1, jobs=jobs, master_seed=9)
+    assert made == [workers]
+    assert res.rows == benchmark.run_benchmark(params, videos[:1], adapt_cfg, repeats=1, jobs=1, master_seed=9).rows
+
+
 def _row(method, repeat, f1_after, aborted):
     return {"method": method, "repeat": repeat, "f1_before": 0.25, "f1_after": f1_after, "norm_changes_before": 0.5, "norm_changes_after": f1_after / 2, "aborted": aborted}
 

@@ -319,7 +319,7 @@ def test_the_caller_drains_every_part_when_the_pool_is_busy(pool):
     held = [pool.submit(release.wait, 60) for _ in range(2)]
     try:
         names = []
-        _in_thread(lambda: T.run_frame_slices(lambda f, p: names.append(threading.current_thread().name), 4 * T.FRAME_SLICE, 1, 0))
+        _in_thread(lambda: T.run_frame_slices(lambda f, p: names.append(threading.current_thread().name), 4 * T.FRAME_SLICE, T.FRAME_SLICE, 1, 0))
         assert len(names) == 4 and all(not name.startswith("test-slice") for name in names)
     finally:
         release.set()

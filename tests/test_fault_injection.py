@@ -21,7 +21,7 @@ from tempt import adapt, cli, data, losses, model, training
 from tempt import tensor as T
 from tempt.errors import DivergedLoss, NonFiniteActivation, NonFiniteValue
 
-BATCH = 3 * T.FRAME_SLICE + 5  # four conv and trunk slices, the last a partial one
+BATCH = 3 * T.FRAME_SLICE + 5  # four conv slices and two trunk slices, the last of each a partial one
 FRAMES = np.random.Generator(np.random.PCG64(5)).uniform(-1, 1, size=(BATCH, 3, 8, 8)).astype(np.float32)
 LABELS = np.arange(BATCH) % 8
 VALUES = [np.nan, np.inf, -np.inf]
@@ -40,15 +40,6 @@ def _warnings_are_errors():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         yield
-
-
-@pytest.fixture(params=["pool", "inline"])
-def slices(request, monkeypatch):
-    """Each case runs on the ``pool`` fixture's two-thread pool, which takes calls of any size, and with every slice inline."""
-    if request.param == "pool":
-        request.getfixturevalue("pool")
-    else:
-        monkeypatch.setattr(T, "_POOL", None)
 
 
 def _one_shot(value):

@@ -171,6 +171,24 @@ def test_untracked_forward_writes_no_caller_data(tiny_params, rng):
     assert before == after
 
 
+@pytest.fixture(scope="module")
+def default_params():
+    return _spread_bn(model.build_model(model.ModelSpec(), seed=3), seed=4)
+
+
+@pytest.mark.parametrize("n", [1, model.TRUNK_SLICE - 1, model.TRUNK_SLICE + 1, 2 * 128 + 5])
+def test_forward_all_gives_the_bytes_of_forward_chunk_by_chunk(slices, default_params, n):
+    """One trunk pass over the clip, its slices spanning head chunks, then the head per chunk: a forward per chunk's bytes.
+
+    The default spec's head rounds by row count (one head over the whole
+    clip would differ), so this pins the head to each chunk.
+    """
+    frames = np.random.Generator(np.random.PCG64(n)).uniform(-1, 1, size=(n, 3, 32, 32)).astype(np.float32)
+    for chunk in (24, 128, n):
+        want = np.concatenate([model.forward(default_params, frames[lo : lo + chunk]).data for lo in range(0, n, chunk)])
+        assert adapt.forward_all(default_params, frames, chunk).tobytes() == want.tobytes(), f"chunk {chunk}"
+
+
 def test_untracked_forward_raises_typed_errors(tiny_params, rng):
     frames = rng.uniform(-1, 1, size=(40, 3, 8, 8)).astype(np.float32)
     params = tiny_params.copy()

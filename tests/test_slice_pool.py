@@ -23,8 +23,10 @@ from tempt.errors import NonFiniteActivation, NonFiniteValue
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 FS = T.FRAME_SLICE
-BATCH = 3 * FS + 5  # four slices, the last a partial one
+BATCH = 3 * FS + 5  # four conv slices, the last a partial one
 BAD_FRAMES = [0, BATCH // 2, BATCH - 1]  # in the first, a middle and the last slice
+CLIP = 3 * model.TRUNK_SLICE + 5  # four trunk slices of a tape-free forward, the last a partial one
+BAD_CLIP_FRAMES = [0, CLIP // 2, CLIP - 1]  # in the first, a middle and the last trunk slice
 
 
 def _meet_in_pairs(record):
@@ -53,7 +55,7 @@ def test_slices_run_on_the_pool_in_the_callers_context(pool, monkeypatch):
 
     try:
         with np.errstate(over="raise"):
-            T.run_frame_slices(_meet_in_pairs(record), BATCH, 2, 0)
+            T.run_frame_slices(_meet_in_pairs(record), BATCH, FS, 2, 0)
     finally:
         helper.shutdown()
     assert sorted(s[:3] for s in seen) == [(lo, 2 * lo, "raise") for lo in range(0, BATCH, FS)]
@@ -69,10 +71,21 @@ def test_a_slice_runs_its_own_slices_inline(pool):
 
     def outer(frames, part):
         me = threading.get_ident()
-        T.run_frame_slices(lambda f, p: on_own_thread.append(threading.get_ident() == me), BATCH, 1, 0)
+        T.run_frame_slices(lambda f, p: on_own_thread.append(threading.get_ident() == me), BATCH, FS, 1, 0)
 
-    T.run_frame_slices(outer, 2 * FS, 1, 0)
+    T.run_frame_slices(outer, 2 * FS, FS, 1, 0)
     assert on_own_thread == [True] * (2 * len(range(0, BATCH, FS)))
+
+
+@pytest.mark.parametrize(
+    "size,chunk,want",
+    [(32, None, [(0, 32), (32, 53)]), (32, 24, [(0, 24), (24, 48), (48, 53)]), (16, 40, [(0, 16), (16, 32), (32, 40), (40, 53)])],
+    ids=["no-chunk", "chunk-below-size", "chunk-above-size"],
+)
+def test_slices_take_the_callers_size_and_restart_at_every_chunk(size, chunk, want):
+    seen = []
+    T.run_frame_slices(lambda frames, part: seen.append((frames.start, frames.stop, part.start, part.stop)), BATCH, size, 3, 0, chunk=chunk)
+    assert seen == [(lo, hi, 3 * lo, 3 * hi) for lo, hi in want]
 
 
 def test_every_slice_finishes_before_the_first_failing_slice_raises(pool):
@@ -85,7 +98,7 @@ def test_every_slice_finishes_before_the_first_failing_slice_raises(pool):
         done.append(frames.start)
 
     with pytest.raises(ValueError, match=f"^slice at {FS}$"):
-        T.run_frame_slices(work, 5 * FS, 1, 0)
+        T.run_frame_slices(work, 5 * FS, FS, 1, 0)
     assert sorted(done) == [0, 2 * FS, 4 * FS]
 
 
@@ -104,28 +117,30 @@ def test_nan_in_one_slice_of_a_tape_conv_raises_at_its_batch_norm(pool, rng, bad
             T.batchnorm2d(out, *bn, *stats, mode="train", relu=True)
 
 
-@pytest.mark.parametrize("bad", BAD_FRAMES, ids=["first", "middle", "last"])
-def test_overflow_in_one_slice_of_forward_all_raises_non_finite_activation(pool, tiny_params, rng, bad):
+@pytest.mark.parametrize("chunk", [CLIP, 24], ids=["one-chunk", "chunk24"])
+@pytest.mark.parametrize("bad", BAD_CLIP_FRAMES, ids=["first", "middle", "last"])
+def test_overflow_in_one_slice_of_forward_all_raises_non_finite_activation(pool, tiny_params, rng, bad, chunk):
+    """With 24-frame chunks the last bad frame sits in a later head chunk and in the last, partial trunk slice."""
     params = tiny_params.copy()
     params["stem.conv.w"].array[...] = 1.0  # a frame of 1e38 sums 27 of them past float32's range
-    frames = rng.uniform(-1, 1, size=(BATCH, 3, 8, 8)).astype(np.float32)
+    frames = rng.uniform(-1, 1, size=(CLIP, 3, 8, 8)).astype(np.float32)
     frames[bad] = 1e38
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the overflow happens in a pool thread, under the forward's errstate
         with pytest.raises(NonFiniteActivation, match="^op 'batchnorm2d'"):  # the stem batch norm
-            adapt.forward_all(params, frames, chunk=BATCH)
+            adapt.forward_all(params, frames, chunk=chunk)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_runs_forward_all_to_the_same_bytes(pool, tiny_params, rng):
-    frames = rng.uniform(-1, 1, size=(BATCH, 3, 8, 8)).astype(np.float32)
-    want = adapt.forward_all(tiny_params, frames, chunk=BATCH).tobytes()  # the parent's pool threads now exist
+    frames = rng.uniform(-1, 1, size=(CLIP, 3, 8, 8)).astype(np.float32)
+    want = adapt.forward_all(tiny_params, frames, chunk=CLIP).tobytes()  # the parent's pool threads now exist
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # child: only this thread survives the fork
         try:
             os.close(read_end)
-            os.write(write_end, adapt.forward_all(tiny_params, frames, chunk=BATCH).tobytes())
+            os.write(write_end, adapt.forward_all(tiny_params, frames, chunk=CLIP).tobytes())
         finally:
             os._exit(0)
     os.close(write_end)
@@ -180,17 +195,17 @@ def test_a_call_runs_on_the_pool_only_from_the_work_floor(pool, monkeypatch):
     def record(frames, part):
         names.append(threading.current_thread().name)
 
-    T.run_frame_slices(record, BATCH, 1, 99)
+    T.run_frame_slices(record, BATCH, FS, 1, 99)
     assert names == [threading.current_thread().name] * 4
     names.clear()
-    T.run_frame_slices(_meet_in_pairs(record), BATCH, 1, 100)
+    T.run_frame_slices(_meet_in_pairs(record), BATCH, FS, 1, 100)
     assert len(names) == 4 and any(name.startswith("test-slice") for name in names)
 
 
 def test_a_conv_gives_the_multiply_adds_of_its_gemms(monkeypatch, rng):
     seen = []
     real = T.run_frame_slices
-    monkeypatch.setattr(T, "run_frame_slices", lambda fn, n, per_frame, macs: seen.append(macs) or real(fn, n, per_frame, macs))
+    monkeypatch.setattr(T, "run_frame_slices", lambda fn, n, size, per_frame, macs: seen.append(macs) or real(fn, n, size, per_frame, macs))
     x = T.Tensor(rng.standard_normal((4, 3, 8, 8)).astype(np.float32), requires_grad=True)
     out = T.conv2d(x, T.Tensor(rng.standard_normal((6, 4, 3, 3)).astype(np.float32)), stride=2, pad=1)
     out.node.backward_fn(np.ones_like(out.data))
@@ -206,7 +221,7 @@ def test_the_work_floor_keeps_the_shipped_model_serial_and_pools_the_default_one
 
 
 def test_untracked_forward_gives_the_serial_bytes_on_the_pool(pool, tiny_params, rng, monkeypatch):
-    frames = rng.uniform(-1, 1, size=(BATCH, 3, 8, 8)).astype(np.float32)
+    frames = rng.uniform(-1, 1, size=(CLIP, 3, 8, 8)).astype(np.float32)
     pooled = model.forward(tiny_params, frames).data.tobytes()
     monkeypatch.setattr(T, "_POOL", None)
     assert model.forward(tiny_params, frames).data.tobytes() == pooled
